@@ -1,8 +1,9 @@
 """Canonical, order-independent serialization of replica state.
 
-Used for convergence comparison, replay determinism checks, explorer state
-deduplication, and graph export. Everything is reduced to sorted JSON-native
-structures so two states are equal iff their canonical forms are equal.
+Used for convergence comparison, replay determinism checks and the
+explorer's reachable and terminal state keys. Everything is reduced to
+sorted JSON-native structures so two states are equal iff their canonical
+forms are equal.
 """
 
 from __future__ import annotations
@@ -49,35 +50,3 @@ def world_fingerprint(world: World) -> bytes:
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
-
-def canon_world_key(world: World) -> str:
-    """Full-world canonical key (object state plus delivery and stability
-    bookkeeping), for explorer state deduplication."""
-    doc = []
-    for st in world.states:
-        doc.append({
-            "objects": canon_objects(st),
-            "applied": sorted(st.applied_full.items()),
-            "progress": sorted([list(e), p] for e, p in st.progress.items()),
-            "pending": sorted([list(e), i] for e, i in st.pending),
-            "frontier": sorted(
-                [r, sorted(c.items())] for r, c in st.frontier.items()
-            ),
-            "queries": sorted(
-                [
-                    t,
-                    sorted(list(r) for r in last),
-                    {
-                        "snapshot": sorted(
-                            [r, sorted(c.items())] for r, c in q.snapshot.items()
-                        ),
-                        "sup": sorted(q.sup.items()) if q.sup is not None else None,
-                        "confirm": sorted(q.confirm),
-                        "stable": q.stable,
-                    },
-                ]
-                for (t, last), q in st.queries.items()
-            ),
-            "condemned": sorted(st.condemned),
-        })
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

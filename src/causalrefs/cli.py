@@ -22,7 +22,7 @@ from .harness import (
     replay,
     run_campaign,
 )
-from .model import ATOMIC, PURE_CAUSAL, SimulatorError
+from .model import ATOMIC, PURE_CAUSAL, PreconditionFailure, SimulatorError, World
 
 MODES = [PURE_CAUSAL, ATOMIC]
 
@@ -147,14 +147,13 @@ def cmd_scenario(name, mode, dot_dir):
     click.echo(f"fig1: explored {report.states} states, {report.terminals} terminal")
     if dot_dir:
         # Snapshot of one quiesced run of the same program for rendering.
-        from .model import World
         world = World(2, mode)
         scenarios.fig1_setup(world)
         world.quiesce()
         for replica, op in scenarios.fig1_program():
             try:
                 world.execute(replica, op)
-            except Exception:
+            except PreconditionFailure:
                 pass
             world.quiesce()
         _write_dots(world, dot_dir)

@@ -220,8 +220,6 @@ class World:
         and atomically, and enqueued for every other replica. Raises
         PreconditionFailure if any precondition fails.
         """
-        from .ops import GENERATORS
-
         st = self.states[replica]
         build = GENERATORS.get(op.kind)
         if build is None:
@@ -257,8 +255,6 @@ class World:
         still spawn events (may_delete registers a stability query on first
         use). Generator operations return the event itself.
         """
-        from .ops import READS
-
         read = READS.get(op.kind)
         if read is not None:
             return read(self, replica, op.args)
@@ -271,13 +267,13 @@ class World:
         """True iff ``msg`` can be applied at ``replica`` right now."""
         st = self.states[replica]
         eid = msg.event_id
-        if st.is_applied(eid, msg.chain_index):
+        applied = st.applied_full
+        # Not fully applied, and next in chain order (an applied message
+        # sits below the event's progress).
+        if applied.get(eid[0], 0) >= eid[1] or msg.chain_index != st.progress.get(eid, 0):
             return False
-        if msg.chain_index != st.progress.get(eid, 0):
-            return False
-        ev = self.events[eid]
-        for r, c in ev.deps.items():
-            if st.applied_full.get(r, 0) < c:
+        for r, c in self.events[eid].deps.items():
+            if applied.get(r, 0) < c:
                 return False
         return True
 
@@ -318,8 +314,6 @@ class World:
         self._apply(st, msg)
 
     def _apply(self, st: ReplicaState, msg: EffectorMessage) -> None:
-        from .ops import APPLIERS
-
         payload = msg.payload
         if isinstance(payload, AtomicChain):
             for target, p in payload.items:
@@ -374,10 +368,8 @@ class World:
                 stuck = [(st.rid, key) for st in self.states for key in sorted(st.pending)]
                 raise Stuck(f"undeliverable messages remain: {stuck[:5]}")
 
-    # -- misc ---------------------------------------------------------------
 
-    def in_flight(self):
-        """Yield (replica, message) for every generated-but-unapplied effector."""
-        for st in self.states:
-            for key in sorted(st.pending):
-                yield st.rid, st.pending[key]
+# The registries import this module, so they are bound only once it is fully
+# defined. The dicts are never rebound: an entry replaced in place (as a
+# tracer does) is seen by every call here.
+from .ops import APPLIERS, GENERATORS, READS  # noqa: E402

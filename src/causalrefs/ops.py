@@ -1,5 +1,6 @@
 """Operation registries: generator functions, read-only operations, and
-effector payload appliers, keyed for dispatch by the world model."""
+effector payload appliers, keyed for dispatch by the world model, plus the
+arguments each operation kind requires."""
 
 from __future__ import annotations
 
@@ -28,4 +29,18 @@ APPLIERS = {
     refs.MarkDeleted: refs.apply_mark_deleted,
     stability.QueryRegister: stability.apply_query_register,
     stability.ClockAnnounce: stability.apply_clock_announce,
+}
+
+# Arguments each kind reads unconditionally. Optional ones: ``root`` and
+# ``attrs`` (create), ``last`` (delete, may_delete; defaults to "auto").
+REQUIRED_ARGS = {
+    "create": ("key",),
+    "init": ("source", "attr", "target"),
+    "assign": ("dst", "dst_attr", "src", "src_attr"),
+    "assign_null": ("source", "attr"),
+    "delete": ("target",),
+    "announce": (),
+    "register_query": ("target", "last"),
+    "invoke": ("source", "attr"),
+    "may_delete": ("target",),
 }

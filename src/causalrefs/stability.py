@@ -31,6 +31,7 @@ from .model import (
     OpCall,
     PreconditionFailure,
     ReplicaState,
+    SimulatorError,
     World,
     vc_geq,
     vc_glb,
@@ -163,6 +164,8 @@ def gen_announce(world: World, st: ReplicaState, a: dict):
 
 
 def apply_clock_announce(world: World, st: ReplicaState, target, p: ClockAnnounce) -> None:
+    # Every report carries the announce's own clock; decode it once. Clock
+    # dicts are never mutated in place, so the observers may share it.
     clock = dict(p.clock)
     st.frontier[p.announcer] = vc_merge(st.frontier.get(p.announcer, {}), clock)
     for rep in p.reports:
@@ -170,8 +173,8 @@ def apply_clock_announce(world: World, st: ReplicaState, target, p: ClockAnnounc
         if q is None:
             # Registration travels the same causal channel, so it always
             # precedes any report for its query.
-            raise RuntimeError(f"report for unregistered query {rep.target} at replica {st.rid}")
-        q.report(p.announcer, rep.holds, dict(rep.clock))
+            raise SimulatorError(f"report for unregistered query {rep.target} at replica {st.rid}")
+        q.report(p.announcer, rep.holds, clock)
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +223,35 @@ def read_may_delete(world: World, replica: int, a: dict):
 # ---------------------------------------------------------------------------
 # Omniscient oracle (testing ground truth).
 
-def _payload_items(msg):
-    if isinstance(msg.payload, AtomicChain):
-        yield from msg.payload.items
-    else:
-        yield msg.target, msg.payload
-
-
 def oracle_stable(world: World, target: str, last: frozenset) -> bool:
     """Global-view truth of "the listing is stably contained in ``last``":
     the condition holds at every replica, no in-flight effector adds a pair
     outside ``last``, no surviving entry outside ``last`` targets the
     object anywhere, and every replica still able to derive a new reference
-    to it has pledged not to."""
+    to it has pledged not to.
+
+    ``ref_counts`` is the exact number of surviving non-NULL entries per
+    target at a replica, so a replica counting none for ``target`` has no
+    entry to scan."""
     for st in world.states:
         rec = st.objects.get(target)
         if rec is not None and not {r for _s, r in rec.inref.current()} <= last:
             return False
     for st in world.states:
+        if st.ref_counts.get(target, 0) == 0:
+            continue
         for obj in st.objects.values():
             for out in obj.attrs.values():
                 for e in out.entries.values():
                     if e.target == target and e.ref not in last:
                         return False
-    for _rid, msg in world.in_flight():
-        for tgt, p in _payload_items(msg):
-            if isinstance(p, InRefAdd) and tgt == target and p.ref not in last:
-                return False
+    for st in world.states:
+        for msg in st.pending.values():
+            payload = msg.payload
+            items = payload.items if isinstance(payload, AtomicChain) else ((msg.target, payload),)
+            for tgt, p in items:
+                if tgt == target and type(p) is InRefAdd and p.ref not in last:
+                    return False
     for st in world.states:
         rec = st.objects.get(target)
         if rec is None or rec.deleted or rec.root:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from . import ops
 from .harness import DeliverStep, GenStep, Trace, TraceConfig
 from .model import OpCall
 
@@ -57,7 +58,70 @@ def dumps(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(v, lo: int) -> bool:
+    return type(v) is int and v >= lo
+
+
+def _is_ref(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(_is_int(x, 0) for x in v)
+
+
+def _config(cfg: dict) -> TraceConfig:
+    for name in ("replicas", "events"):
+        if not _is_int(cfg[name], 1):
+            raise TraceFormatError(f"malformed header: {name} must be an int of at least 1")
+    weights = cfg["weights"]
+    if not isinstance(weights, dict) or not all(
+            type(w) in (int, float) for w in weights.values()):
+        raise TraceFormatError("malformed header: weights must map kinds to numbers")
+    return TraceConfig(replicas=cfg["replicas"], events=cfg["events"],
+                       mode=cfg["mode"], weights=dict(weights))
+
+
+def _op(doc: dict) -> OpCall:
+    kind, args = doc["kind"], doc["args"]
+    if kind not in ops.GENERATORS and kind not in ops.READS:
+        raise TraceFormatError(f"unknown operation kind {kind!r}")
+    if not isinstance(args, dict):
+        raise TraceFormatError(f"{kind} args are not an object")
+    for name in ops.REQUIRED_ARGS[kind]:
+        if name not in args:
+            raise TraceFormatError(f"{kind} lacks argument {name!r}")
+        # Every required argument but ``last`` names an object or attribute.
+        if name != "last" and not isinstance(args[name], str):
+            raise TraceFormatError(f"{kind} argument {name!r} is not a string")
+    attrs = args.get("attrs", [])
+    if not isinstance(attrs, list) or not all(isinstance(a, str) for a in attrs):
+        raise TraceFormatError(f"{kind} argument 'attrs' is not a list of strings")
+    last = args.get("last", "auto")
+    if last != "auto" and not (isinstance(last, list) and all(_is_ref(r) for r in last)):
+        raise TraceFormatError(f"{kind} argument 'last' is neither \"auto\" nor a list of refs")
+    return OpCall(kind, args)
+
+
+def _step(doc: dict, replicas: int):
+    kind = doc["type"]
+    if kind not in ("gen", "deliver"):
+        raise TraceFormatError(f"unknown record type {kind!r}")
+    replica, label = doc["replica"], doc["label"]
+    if not _is_int(replica, 0) or replica >= replicas:
+        raise TraceFormatError(f"replica {replica!r} out of range 0..{replicas - 1}")
+    if not isinstance(label, str):
+        raise TraceFormatError(f"label {label!r} is not a string")
+    if kind == "gen":
+        result = doc["result"]
+        if not isinstance(result, str):
+            raise TraceFormatError(f"result {result!r} is not a string")
+        return GenStep(label, replica, _op(doc["op"]), result)
+    index = doc["chain_index"]
+    if not _is_int(index, 0):
+        raise TraceFormatError(f"chain_index {index!r} is not a non-negative int")
+    return DeliverStep(replica, label, index)
+
+
 def loads(text: str) -> Trace:
+    """Parse a trace file, checking every field replay reads, so a malformed
+    file raises TraceFormatError instead of failing inside replay."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise TraceFormatError("empty trace file")
@@ -70,38 +134,16 @@ def loads(text: str) -> Trace:
     if header.get("version") != VERSION:
         raise TraceFormatError(f"unsupported trace version {header.get('version')!r}")
     try:
-        cfg = header["config"]
-        config = TraceConfig(
-            replicas=cfg["replicas"],
-            events=cfg["events"],
-            mode=cfg["mode"],
-            weights=dict(cfg["weights"]),
-        )
+        config = _config(header["config"])
         seed = header["seed"]
     except (KeyError, TypeError) as e:
         raise TraceFormatError(f"malformed header: {e}") from e
     steps: list = []
     for i, ln in enumerate(lines[1:], start=2):
         try:
-            doc = json.loads(ln)
-            if doc["type"] == "gen":
-                steps.append(GenStep(
-                    doc["label"], doc["replica"],
-                    OpCall(doc["op"]["kind"], doc["op"]["args"]),
-                    doc["result"],
-                ))
-            elif doc["type"] == "deliver":
-                steps.append(DeliverStep(doc["replica"], doc["label"], doc["chain_index"]))
-            else:
-                raise TraceFormatError(f"line {i}: unknown record type {doc['type']!r}")
+            steps.append(_step(json.loads(ln), config.replicas))
+        except TraceFormatError as e:
+            raise TraceFormatError(f"line {i}: {e}") from e
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise TraceFormatError(f"line {i}: malformed record: {e}") from e
     return Trace(seed, config, steps)
-
-
-def dump(trace: Trace, fh) -> None:
-    fh.write(dumps(trace))
-
-
-def load(fh) -> Trace:
-    return loads(fh.read())

@@ -1,3 +1,6 @@
+import json
+
+import pytest
 from click.testing import CliRunner
 
 from causalrefs import tracefile
@@ -44,6 +47,44 @@ class TestCheck:
         path.write_text("definitely not a trace\n")
         res = invoke("check", str(path))
         assert res.exit_code == 2
+
+    @staticmethod
+    def first_gen(docs, kind=None):
+        return next(d for d in docs[1:] if d["type"] == "gen" and kind in (None, d["op"]["kind"]))
+
+    @staticmethod
+    def first_deliver(docs):
+        return next(d for d in docs[1:] if d["type"] == "deliver")
+
+    MALFORMED = {
+        "args-missing-key": lambda docs: TestCheck.first_gen(docs, "create")["op"]["args"].pop("key"),
+        "args-not-object": lambda docs: TestCheck.first_gen(docs)["op"].update(args=["key"]),
+        "name-arg-not-string": lambda docs: TestCheck.first_gen(docs, "create")["op"]["args"].update(key=["A"]),
+        "unknown-kind": lambda docs: TestCheck.first_gen(docs)["op"].update(kind="teleport"),
+        "gen-replica-out-of-range": lambda docs: TestCheck.first_gen(docs).update(replica=9),
+        "deliver-replica-negative": lambda docs: TestCheck.first_deliver(docs).update(replica=-1),
+        "replica-not-int": lambda docs: TestCheck.first_deliver(docs).update(replica="0"),
+        "chain-index-negative": lambda docs: TestCheck.first_deliver(docs).update(chain_index=-1),
+        "chain-index-not-int": lambda docs: TestCheck.first_deliver(docs).update(chain_index=0.5),
+        "header-replicas-string": lambda docs: docs[0]["config"].update(replicas="3"),
+        "header-replicas-zero": lambda docs: docs[0]["config"].update(replicas=0),
+        "header-events-bool": lambda docs: docs[0]["config"].update(events=True),
+        "header-weights-string": lambda docs: docs[0]["config"]["weights"].update(create="3"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_trace_exit_two(self, tmp_path, case):
+        # Seed 5 at the default configuration holds create, gen and
+        # deliver records for every mutation above.
+        docs = [json.loads(ln) for ln in tracefile.dumps(random_execution(5, TraceConfig())).splitlines()]
+        self.MALFORMED[case](docs)
+        path = tmp_path / "bad.trace"
+        path.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
+        res = invoke("check", str(path))
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cannot read trace:"), res.output
 
 
 class TestExplore:

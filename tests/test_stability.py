@@ -1,8 +1,22 @@
 import pytest
 
-from causalrefs.model import OpCall, PreconditionFailure, World
+from causalrefs.harness import TraceConfig, execution_seed, random_execution, replay
+from causalrefs.model import (
+    ATOMIC,
+    PURE_CAUSAL,
+    AtomicChain,
+    EffectorMessage,
+    OpCall,
+    PreconditionFailure,
+    SimulatorError,
+    World,
+)
+from causalrefs.refs import InRefAdd, OutRefEntry
 from causalrefs.stability import (
+    ClockAnnounce,
     QueryObserver,
+    Report,
+    apply_clock_announce,
     frontier_glb,
     oracle_stable,
     stably_subset,
@@ -188,6 +202,38 @@ class TestOracle:
             w.generate(0, OpCall("init", {"source": "A", "attr": "a", "target": "X"}))
         assert oracle_stable(w, "X", frozenset())
 
+    def stable_x(self):
+        w = unreferenced_world()
+        w.execute(0, OpCall("may_delete", {"target": "X", "last": []}))
+        w.quiesce()
+        announce_round(w)
+        assert oracle_stable(w, "X", frozenset())
+        return w
+
+    @pytest.mark.parametrize("atomic", [False, True])
+    def test_buffered_add_blocks(self, atomic):
+        # Injected by hand: in a reachable state the add is already in its
+        # origin's listing, which the oracle rejects first, so only a built
+        # state shows that the buffered-message scan still runs.
+        w = self.stable_x()
+        add = InRefAdd("A", (0, 99))
+        msg = (EffectorMessage((0, 99), 0, None, AtomicChain((("X", add),))) if atomic
+               else EffectorMessage((0, 99), 0, "X", add))
+        w.states[1].pending[((0, 99), 0)] = msg
+        assert not oracle_stable(w, "X", frozenset())
+        assert oracle_stable(w, "X", frozenset({(0, 99)}))
+
+    def test_counted_entry_blocks(self):
+        # Injected by hand, counted in ref_counts but absent from the listing:
+        # reachable states list every entry's pair (I1), which the oracle
+        # rejects first, so only a built state shows the entry scan runs.
+        w = self.stable_x()
+        st = w.states[1]
+        st.objects["A"].attrs["a"].entries[(1, 99)] = OutRefEntry("X", (1, 99), (1, 99))
+        st.ref_counts["X"] = 1
+        assert not oracle_stable(w, "X", frozenset())
+        assert oracle_stable(w, "X", frozenset({(1, 99)}))
+
     def test_surviving_entry_blocks(self):
         w = unreferenced_world()
         w.generate(0, OpCall("init", {"source": "A", "attr": "a", "target": "X"}))
@@ -206,3 +252,84 @@ class TestLiveness:
             assert not any(stably_subset(w, r, "X", frozenset()) for r in range(replicas))
             announce_round(w)
             assert all(stably_subset(w, r, "X", frozenset()) for r in range(replicas))
+
+
+class TestAnnounce:
+    def test_report_for_unregistered_query_is_simulator_error(self):
+        w = unreferenced_world()
+        clock = ((0, 2),)
+        p = ClockAnnounce(0, clock, (Report("X", frozenset(), True, clock),))
+        with pytest.raises(SimulatorError):
+            apply_clock_announce(w, w.states[1], None, p)
+
+
+def full_scan_oracle(world, target, last):
+    """The oracle as first written: scans every entry at every replica and
+    every buffered message, with no shortcut through ``ref_counts``."""
+    for st in world.states:
+        rec = st.objects.get(target)
+        if rec is not None and not {r for _s, r in rec.inref.current()} <= last:
+            return False
+    for st in world.states:
+        for obj in st.objects.values():
+            for out in obj.attrs.values():
+                for e in out.entries.values():
+                    if e.target == target and e.ref not in last:
+                        return False
+    for st in world.states:
+        for key in sorted(st.pending):
+            msg = st.pending[key]
+            items = msg.payload.items if isinstance(msg.payload, AtomicChain) else ((msg.target, msg.payload),)
+            for tgt, p in items:
+                if isinstance(p, InRefAdd) and tgt == target and p.ref not in last:
+                    return False
+    for st in world.states:
+        rec = st.objects.get(target)
+        if rec is None or rec.deleted or rec.root:
+            continue
+        derivable = target in st.created_here or st.ref_counts.get(target, 0) > 0
+        if derivable and target not in st.condemned:
+            return False
+    return True
+
+
+def assert_ref_counts_exact(world, st, msg):
+    """``ref_counts`` must equal a recount of surviving non-NULL entries."""
+    recount = {}
+    for obj in st.objects.values():
+        for out in obj.attrs.values():
+            for e in out.entries.values():
+                if e.target is not None:
+                    recount[e.target] = recount.get(e.target, 0) + 1
+    assert all(c >= 0 for c in st.ref_counts.values())
+    assert {k: c for k, c in st.ref_counts.items() if c} == recount
+
+
+ORACLE_CASES = (
+    [(PURE_CAUSAL, 3, 20, i) for i in range(40)]
+    + [(ATOMIC, 3, 20, i) for i in range(40)]
+    + [(PURE_CAUSAL, 4, 80, i) for i in range(6)]
+    + [(ATOMIC, 4, 80, i) for i in range(6)]
+    + [(PURE_CAUSAL, 5, 320, i) for i in range(2)]
+    + [(ATOMIC, 5, 320, i) for i in range(1)]
+)
+
+
+class TestOracleFastPath:
+    def test_matches_full_scan_at_every_step(self):
+        outcomes = {True: 0, False: 0}
+
+        def on_step(world, _i, _step):
+            queries = {k for st in world.states for k in st.queries}
+            for target, last in sorted(queries, key=lambda k: (k[0], sorted(k[1]))):
+                fast = oracle_stable(world, target, last)
+                assert fast == full_scan_oracle(world, target, last), (target, last)
+                outcomes[fast] += 1
+
+        for mode, replicas, events, i in ORACLE_CASES:
+            trace = random_execution(execution_seed(41, i), TraceConfig(replicas, events, mode))
+            world, _ = replay(trace, on_apply=assert_ref_counts_exact, on_step=on_step)
+            world.quiesce()
+            on_step(world, None, None)
+        # Both answers must occur, or the comparison shows nothing.
+        assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
