@@ -8,7 +8,9 @@ reachable state and convergence properties in every terminal state.
 Reached states are deduplicated by a sound structural key: the program
 prefix executed, the exact effector chains generated so far, and each
 replica's delivery progress — everything else is a deterministic function
-of those.
+of those. Each chain is interned to a small int when it is generated, and a
+delivery successor's key is derived from its parent's and checked before
+the successor is built, so reaching a state again costs no copy.
 
 ``explore_catalog`` additionally branches over a whole operation catalog at
 every generation point, covering every program up to a length bound in one
@@ -21,7 +23,8 @@ import json
 from dataclasses import dataclass, field
 
 from .canon import canon_objects
-from .model import AtomicChain, OpCall, PreconditionFailure, PURE_CAUSAL, World
+from .harness import run_op
+from .model import OpCall, PURE_CAUSAL, World, payload_items
 from .refs import InRefAdd, OutRefSet
 from .stability import oracle_stable
 
@@ -39,8 +42,7 @@ class ExploreReport:
     violations: list = field(default_factory=list)
     # program index -> set of observed result strings across interleavings
     results: dict = field(default_factory=dict)
-    # canonical object-state keys of all reachable / all terminal states
-    reachable_keys: set = field(default_factory=set)
+    # canonical object-state keys of all terminal states
     terminal_keys: set = field(default_factory=set)
 
     @property
@@ -53,24 +55,14 @@ def _objects_key(world: World) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
-def _state_key(world: World, k) -> tuple:
-    events_sig = tuple(world.events[eid].chain for eid in sorted(world.events))
-    delivery = tuple(
-        (
-            tuple(sorted(st.applied_full.items())),
-            tuple(sorted(st.progress.items())),
-        )
-        for st in world.states
-    )
-    return (k, events_sig, delivery)
+def _state_key(k: int, events: tuple, delivery: tuple) -> tuple:
+    """Deduplication key: the program position, the interned effector chains
+    in event-id order, and each replica's delivery signature."""
+    return (k, events, delivery)
 
 
-def _format_result(kind: str, value) -> str:
-    if kind == "invoke":
-        return f"val:{value}"
-    if kind == "may_delete":
-        return "true" if value else "false"
-    return "ok"
+def _delivery_sig(st) -> tuple:
+    return (tuple(sorted(st.applied_full.items())), tuple(sorted(st.progress.items())))
 
 
 def _check_state(world: World) -> list:
@@ -122,9 +114,7 @@ def _check_refids(world: World) -> list:
     intro: dict = {}
     for eid in sorted(world.events):
         for msg in world.events[eid].chain:
-            payload = msg.payload
-            items = payload.items if isinstance(payload, AtomicChain) else ((msg.target, payload),)
-            for _target, p in items:
+            for _target, p in payload_items(msg):
                 if type(p) is InRefAdd:
                     if p.ref in added and added[p.ref] != eid:
                         out.append(f"I2: ref {p.ref} added by {added[p.ref]} and {eid}")
@@ -167,12 +157,100 @@ def _delivery_choices(world: World) -> list:
     return out
 
 
-def _run_gen(world: World, replica: int, op: OpCall) -> str:
-    try:
-        value, _ = world.execute(replica, op)
-        return _format_result(op.kind, value)
-    except PreconditionFailure as e:
-        return f"err:{e.reason}"
+class _Search:
+    """What one exploration shares across its states: the root world, the
+    report, the keys already seen and the chain interning table.
+
+    A state travels down the recursion as its world plus its signature
+    ``(events, delivery)``, the parts of its key besides the program
+    position. A world handed on is never mutated again, so a delivery
+    successor copies only the replica state it changes (``World.clone``).
+    """
+
+    def __init__(self, replicas: int, mode: str, setup):
+        self.root = World(replicas, mode)
+        if setup is not None:
+            setup(self.root)
+            self.root.quiesce()
+        self.report = ExploreReport()
+        self.seen: set = set()
+        self.chains: dict = {}
+        self.root_sig = self.signature(self.root)
+        self.fresh(0, self.root_sig)
+
+    def _intern(self, chain: tuple) -> int:
+        return self.chains.setdefault(chain, len(self.chains))
+
+    def signature(self, world: World) -> tuple:
+        """``world``'s signature, computed from scratch."""
+        events = tuple(self._intern(world.events[eid].chain) for eid in sorted(world.events))
+        return events, tuple(_delivery_sig(st) for st in world.states)
+
+    def fresh(self, k: int, sig: tuple) -> bool:
+        """Mark the state (``k``, ``sig``) seen; False if it already was."""
+        key = _state_key(k, *sig)
+        if key in self.seen:
+            return False
+        self.seen.add(key)
+        return True
+
+    def visit(self, world: World, stable_seen: frozenset) -> tuple:
+        """Count and check a newly reached state. Returns its enabled
+        deliveries and the updated set of oracle-stable queries."""
+        viols = _check_state(world)
+        stab, stable_seen = _check_stability(world, stable_seen)
+        self.report.states += 1
+        self.report.violations.extend(viols + stab)
+        return _delivery_choices(world), stable_seen
+
+    def terminal(self, world: World) -> None:
+        self.report.terminals += 1
+        self.report.terminal_keys.add(_objects_key(world))
+        self.report.violations.extend(_check_terminal(world))
+
+    def generate(self, world: World, k: int, sig: tuple, replica: int, op: OpCall) -> tuple:
+        """Run ``op`` at ``replica`` on a full copy of ``world`` (its chain is
+        unknown until it runs). Returns the result and the successor as
+        (world, signature), or None for a state already seen."""
+        w2 = world.clone()
+        result = run_op(w2, replica, op)
+        self.report.results.setdefault(k, set()).add(result)
+        self.report.violations.extend(_check_refids(w2))
+        if len(w2.events) != len(world.events):
+            # New event ids interleave with the old ones, whose ids come in order.
+            old = iter(sig[0])
+            events = tuple(next(old) if eid in world.events else self._intern(w2.events[eid].chain)
+                           for eid in sorted(w2.events))
+            sig = (events, tuple(_delivery_sig(st) for st in w2.states))
+        return result, ((w2, sig) if self.fresh(k + 1, sig) else None)
+
+    def delivered(self, world: World, sig: tuple, replica: int, mkey) -> tuple:
+        """The signature once pending message ``mkey`` is applied at
+        ``replica``, by the bookkeeping of ``World._apply``."""
+        events, delivery = sig
+        eid, idx = mkey
+        st = world.states[replica]
+        applied = delivery[replica][0]
+        progress = dict(st.progress)
+        if idx + 1 == len(world.events[eid].chain):
+            progress.pop(eid, None)
+            full = dict(st.applied_full)
+            full[eid[0]] = eid[1]
+            applied = tuple(sorted(full.items()))
+        else:
+            progress[eid] = idx + 1
+        new = (applied, tuple(sorted(progress.items())))
+        return events, delivery[:replica] + (new,) + delivery[replica + 1:]
+
+    def deliver(self, world: World, k: int, sig: tuple, replica: int, mkey):
+        """The successor applying ``mkey`` at ``replica`` as (world, signature),
+        or None for a state already seen, which is then never copied."""
+        sig = self.delivered(world, sig, replica, mkey)
+        if not self.fresh(k, sig):
+            return None
+        w2 = world.clone(replica)
+        w2.apply_message(replica, *mkey)
+        return w2, sig
 
 
 def exhaustive_explore(program, bound: int = DEFAULT_BOUND, replicas: int = 2,
@@ -189,47 +267,29 @@ def exhaustive_explore(program, bound: int = DEFAULT_BOUND, replicas: int = 2,
     program = list(program)
     if len(program) > bound:
         raise BoundExceeded(f"{len(program)} events exceeds bound {bound}")
-    root = World(replicas, mode)
-    if setup is not None:
-        setup(root)
-        root.quiesce()
-    report = ExploreReport()
-    seen: set = set()
+    search = _Search(replicas, mode, setup)
+    report = search.report
 
-    def rec(world: World, k: int, results: tuple, stable_seen: frozenset):
-        key = _state_key(world, k)
-        if key in seen:
-            return
-        seen.add(key)
-        report.states += 1
-        report.reachable_keys.add(_objects_key(world))
-        viols = _check_state(world)
-        stab, stable_seen = _check_stability(world, stable_seen)
-        viols += stab
-        report.violations.extend(viols)
-        deliveries = _delivery_choices(world)
+    def rec(world: World, sig: tuple, k: int, results: tuple, stable_seen: frozenset):
+        deliveries, stable_seen = search.visit(world, stable_seen)
         if k == len(program) and not deliveries:
-            report.terminals += 1
-            report.terminal_keys.add(_objects_key(world))
-            report.violations.extend(_check_terminal(world))
+            search.terminal(world)
             return
         if k < len(program):
-            w2 = world.clone()
             replica, op = program[k]
-            result = _run_gen(w2, replica, op)
-            report.results.setdefault(k, set()).add(result)
-            report.violations.extend(_check_refids(w2))
+            result, child = search.generate(world, k, sig, replica, op)
             if path_check is not None:
                 bad = path_check(results, k, result)
                 if bad:
                     report.violations.append(bad)
-            rec(w2, k + 1, results + (result,), stable_seen)
+            if child is not None:
+                rec(*child, k + 1, results + (result,), stable_seen)
         for replica, mkey in deliveries:
-            w2 = world.clone()
-            w2.apply_message(replica, mkey[0], mkey[1])
-            rec(w2, k, results, stable_seen)
+            child = search.deliver(world, k, sig, replica, mkey)
+            if child is not None:
+                rec(*child, k, results, stable_seen)
 
-    rec(root, 0, (), frozenset())
+    rec(search.root, search.root_sig, 0, (), frozenset())
     return report
 
 
@@ -242,44 +302,25 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
     """
     if max_events > DEFAULT_BOUND:
         raise BoundExceeded(f"{max_events} events exceeds bound {DEFAULT_BOUND}")
-    root = World(replicas, mode)
-    if setup is not None:
-        setup(root)
-        root.quiesce()
-    report = ExploreReport()
-    seen: set = set()
+    search = _Search(replicas, mode, setup)
 
-    def rec(world: World, k: int, stable_seen: frozenset):
-        key = _state_key(world, k)
-        if key in seen:
-            return
-        seen.add(key)
-        report.states += 1
-        report.reachable_keys.add(_objects_key(world))
-        viols = _check_state(world)
-        stab, stable_seen = _check_stability(world, stable_seen)
-        viols += stab
-        report.violations.extend(viols)
-        deliveries = _delivery_choices(world)
+    def rec(world: World, sig: tuple, k: int, stable_seen: frozenset):
+        deliveries, stable_seen = search.visit(world, stable_seen)
         if not deliveries:
-            report.terminals += 1
-            report.terminal_keys.add(_objects_key(world))
-            report.violations.extend(_check_terminal(world))
+            search.terminal(world)
         if k < max_events:
             for replica in range(replicas):
                 for op in catalog:
-                    w2 = world.clone()
-                    result = _run_gen(w2, replica, op)
-                    report.results.setdefault(k, set()).add(result)
-                    report.violations.extend(_check_refids(w2))
-                    rec(w2, k + 1, stable_seen)
+                    _result, child = search.generate(world, k, sig, replica, op)
+                    if child is not None:
+                        rec(*child, k + 1, stable_seen)
         for replica, mkey in deliveries:
-            w2 = world.clone()
-            w2.apply_message(replica, mkey[0], mkey[1])
-            rec(w2, k, stable_seen)
+            child = search.deliver(world, k, sig, replica, mkey)
+            if child is not None:
+                rec(*child, k, stable_seen)
 
-    rec(root, 0, frozenset())
-    return report
+    rec(search.root, search.root_sig, 0, frozenset())
+    return search.report
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,12 @@ from .canon import canon_objects
 from .model import (
     MODES,
     PURE_CAUSAL,
-    AtomicChain,
     Event,
     OpCall,
     PreconditionFailure,
     SimulatorError,
     World,
+    payload_items,
 )
 from .refs import InRefAdd, InRefRemove, MarkDeleted, OutRefSet, last_refs_arg
 
@@ -139,15 +139,20 @@ def _format_result(kind: str, value) -> str:
     return "ok"
 
 
+def run_op(world: World, replica: int, op: OpCall) -> str:
+    """Run one operation and return its recorded result string."""
+    try:
+        value, _ = world.execute(replica, op)
+    except PreconditionFailure as e:
+        return f"err:{e.reason}"
+    return _format_result(op.kind, value)
+
+
 def _execute_labeled(world: World, replica: int, op: OpCall, label: str, labels: dict, eid_labels: dict):
     """Run one operation, labeling every event it spawns. Returns the
     result string and the spawned events."""
     world.spawn_log = []
-    try:
-        value, _ = world.execute(replica, op)
-        result = _format_result(op.kind, value)
-    except PreconditionFailure as e:
-        result = f"err:{e.reason}"
+    result = run_op(world, replica, op)
     spawned = world.spawn_log
     world.spawn_log = None
     for j, ev in enumerate(spawned):
@@ -183,16 +188,8 @@ def _deliver_prefix(world: World, replica: int, eid, upto: int, steps: list, eid
 
 
 def _deliver_all(world: World, replica: int, steps: list, eid_labels: dict) -> None:
-    st = world.states[replica]
-    progressed = True
-    while progressed:
-        progressed = False
-        for key in sorted(st.pending):
-            msg = st.pending[key]
-            if world.deliverable(replica, msg):
-                world.apply_message(replica, key[0], key[1])
-                steps.append(DeliverStep(replica, eid_labels[key[0]], key[1]))
-                progressed = True
+    for eid, idx in world.drain(replica):
+        steps.append(DeliverStep(replica, eid_labels[eid], idx))
 
 
 def _draw_args(rng: random.Random, world: World, replica: int, kind: str):
@@ -410,12 +407,8 @@ class Checker:
         self.multivalued = False
 
     def on_apply(self, world: World, st, msg) -> None:
-        payload = msg.payload
-        if isinstance(payload, AtomicChain):
-            for target, p in payload.items:
-                self._check(world, st, msg.event_id, target, p)
-        else:
-            self._check(world, st, msg.event_id, msg.target, payload)
+        for target, p in payload_items(msg):
+            self._check(world, st, msg.event_id, target, p)
 
     def _bad(self, invariant: str, st, detail: str) -> None:
         self.violations.append(Violation(invariant, self.step, st.rid, detail))
@@ -470,8 +463,7 @@ class Checker:
         adds: list = []
         for ev in world.events.values():
             for msg in ev.chain:
-                items = msg.payload.items if isinstance(msg.payload, AtomicChain) else ((msg.target, msg.payload),)
-                for target, p in items:
+                for target, p in payload_items(msg):
                     if type(p) is InRefAdd:
                         adds.append((ev, target, p))
         seen = set()
@@ -504,8 +496,7 @@ def _check_refinement(checker: Checker, world: World, step_index: int, step: Gen
         ev = max((e for e in world.events.values() if e.op is step.op), key=lambda e: e.id, default=None)
         if ev is not None:
             for msg in ev.chain:
-                items = msg.payload.items if isinstance(msg.payload, AtomicChain) else ((msg.target, msg.payload),)
-                for target, p in items:
+                for target, p in payload_items(msg):
                     if type(p) is MarkDeleted:
                         probe = (target, p.last)
     if probe is not None and not stability.oracle_stable(world, probe[0], probe[1]):

@@ -109,6 +109,13 @@ class EffectorMessage:
     payload: Any
 
 
+def payload_items(msg: EffectorMessage) -> tuple:
+    """The (target, payload) pairs a message carries: an atomic chain's
+    items, or the message's own target and payload."""
+    payload = msg.payload
+    return payload.items if isinstance(payload, AtomicChain) else ((msg.target, payload),)
+
+
 @dataclass
 class Event:
     id: EventId
@@ -200,12 +207,22 @@ class World:
         # harness uses this to label events spawned inside an operation.
         self.spawn_log: Optional[list] = None
 
-    def clone(self) -> "World":
-        """Independent copy of the whole world (hooks are not carried over)."""
+    def clone(self, replica: Optional[ReplicaId] = None) -> "World":
+        """Copy of the world with its own event log (hooks are not carried over).
+
+        With no ``replica`` every replica state is copied and the copy is
+        independent. With ``replica`` only that state is copied and the
+        others are shared with this world, so neither world may change a
+        shared state afterwards: the copy is only for a step that touches
+        ``states[replica]`` alone, such as a delivery there. Generation
+        needs a full copy, because it enqueues into every other replica's
+        ``pending``.
+        """
         w = World.__new__(World)
         w.n = self.n
         w.mode = self.mode
-        w.states = [st.clone() for st in self.states]
+        w.states = [st.clone() if replica is None or st.rid == replica else st
+                    for st in self.states]
         w.events = dict(self.events)
         w.on_apply = None
         w.spawn_log = None
@@ -290,7 +307,7 @@ class World:
         if self.deliverable(replica, msg):
             st.pending.pop(key, None)
             self._apply(st, msg)
-            self._drain(st)
+            self.drain(replica)
             return "applied"
         st.pending[key] = msg
         return "buffered"
@@ -338,16 +355,23 @@ class World:
         if self.on_apply is not None:
             self.on_apply(self, st, msg)
 
-    def _drain(self, st: ReplicaState) -> None:
+    def drain(self, replica: ReplicaId) -> list:
+        """Apply every buffered message at ``replica`` that is or becomes
+        deliverable, in passes over the sorted ``pending`` keys until a pass
+        applies nothing. Returns the applied keys in application order."""
+        st = self.states[replica]
+        applied = []
         progressed = True
         while progressed:
             progressed = False
             for key in sorted(st.pending):
                 msg = st.pending[key]
-                if self.deliverable(st.rid, msg):
+                if self.deliverable(replica, msg):
                     st.pending.pop(key)
                     self._apply(st, msg)
+                    applied.append(key)
                     progressed = True
+        return applied
 
     def quiesce(self) -> None:
         """Deliver every outstanding effector everywhere, in some causal order.

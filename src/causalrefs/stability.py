@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
-    AtomicChain,
     OpCall,
     PreconditionFailure,
     ReplicaState,
@@ -36,6 +35,7 @@ from .model import (
     vc_geq,
     vc_glb,
     vc_merge,
+    payload_items,
 )
 from .refs import InRefAdd, last_refs_arg
 
@@ -247,9 +247,7 @@ def oracle_stable(world: World, target: str, last: frozenset) -> bool:
                         return False
     for st in world.states:
         for msg in st.pending.values():
-            payload = msg.payload
-            items = payload.items if isinstance(payload, AtomicChain) else ((msg.target, payload),)
-            for tgt, p in items:
+            for tgt, p in payload_items(msg):
                 if tgt == target and type(p) is InRefAdd and p.ref not in last:
                     return False
     for st in world.states:

@@ -1,13 +1,24 @@
 import pytest
 
+from causalrefs import explore
+from causalrefs.canon import world_fingerprint
 from causalrefs.explore import (
     BoundExceeded,
+    _objects_key,
     basic_catalog,
     basic_setup,
     exhaustive_explore,
     explore_catalog,
 )
-from causalrefs.model import ATOMIC, OpCall
+from causalrefs.harness import run_op
+from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, World
+
+# (states, terminals) of the basic catalog per event bound and mode; a key
+# that merged different states or split equal ones would change them.
+CATALOG_COUNTS = {
+    3: {PURE_CAUSAL: (7735, 971), ATOMIC: (3704, 961)},
+    4: {PURE_CAUSAL: (100527, 9213), ATOMIC: (41955, 8951)},
+}
 
 
 def test_bound_enforced():
@@ -40,16 +51,60 @@ def test_two_concurrent_assigns_all_interleavings():
     assert rep.results[0] == {"ok"} and rep.results[1] == {"ok"}
 
 
+def _check_catalog(events):
+    for mode, counts in CATALOG_COUNTS[events].items():
+        rep = explore_catalog(basic_catalog(), events, replicas=2, mode=mode, setup=basic_setup)
+        assert rep.ok
+        assert (rep.states, rep.terminals) == counts
+
+
 def test_catalog_programs_up_to_three_events_clean():
-    rep = explore_catalog(basic_catalog(), 3, replicas=2, setup=basic_setup)
-    assert rep.ok
-    assert rep.states > 1000
+    _check_catalog(3)
 
 
 @pytest.mark.slow
 def test_catalog_programs_up_to_four_events_clean():
-    rep = explore_catalog(basic_catalog(), 4, replicas=2, setup=basic_setup)
-    assert rep.ok
+    _check_catalog(4)
+
+
+def _snapshot(world):
+    return world_fingerprint(world), [dict(st.pending) for st in world.states]
+
+
+@pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
+def test_successor_keys_and_shared_states(monkeypatch, mode):
+    # Each successor's derived key must equal the key computed from scratch
+    # on a fully copied world that took the same step, and a delivery
+    # successor, which shares the unchanged replica states, must leave its
+    # parent as it was.
+    generate, deliver = explore._Search.generate, explore._Search.deliver
+    parents = []
+
+    def checked_generate(search, world, k, sig, replica, op):
+        result, child = generate(search, world, k, sig, replica, op)
+        if child is not None:
+            assert child[1] == search.signature(child[0])
+        return result, child
+
+    def checked_deliver(search, world, k, sig, replica, mkey):
+        full = world.clone()
+        full.apply_message(replica, *mkey)
+        derived = explore._state_key(k, *search.delivered(world, sig, replica, mkey))
+        assert derived == explore._state_key(k, *search.signature(full))
+        before = _snapshot(world)
+        child = deliver(search, world, k, sig, replica, mkey)
+        if child is not None:
+            assert _snapshot(world) == before
+            parents.append((world, before))
+        return child
+
+    monkeypatch.setattr(explore._Search, "generate", checked_generate)
+    monkeypatch.setattr(explore._Search, "deliver", checked_deliver)
+    rep = explore_catalog(basic_catalog(), 2, replicas=2, mode=mode, setup=basic_setup)
+    assert rep.ok and parents
+    # Every subtree has been explored by now.
+    for world, before in parents:
+        assert _snapshot(world) == before
 
 
 @pytest.mark.parametrize("prog", [
@@ -66,12 +121,47 @@ def test_catalog_programs_up_to_four_events_clean():
 ])
 def test_atomic_mode_reachability_refinement(prog):
     # Every object state reachable under atomic composition must also be
-    # reachable under pure-causal composition.
-    pure = exhaustive_explore(prog, replicas=2, setup=basic_setup)
-    atomic = exhaustive_explore(prog, replicas=2, setup=basic_setup, mode=ATOMIC)
-    assert pure.ok and atomic.ok
-    assert atomic.reachable_keys <= pure.reachable_keys
-    assert atomic.terminal_keys == pure.terminal_keys
+    # reachable under pure-causal composition, and the explorer must end in
+    # exactly the terminal states the walk below finds.
+    walked = {}
+    for mode in (PURE_CAUSAL, ATOMIC):
+        reachable, terminal = _walk(prog, mode)
+        rep = exhaustive_explore(prog, replicas=2, setup=basic_setup, mode=mode)
+        assert rep.ok
+        assert terminal and terminal == rep.terminal_keys
+        walked[mode] = reachable, terminal
+    (pure, pure_terminal), (atomic, atomic_terminal) = walked[PURE_CAUSAL], walked[ATOMIC]
+    assert atomic <= pure
+    assert atomic_terminal == pure_terminal
+
+
+def _walk(prog, mode):
+    """Object keys of every reachable and every terminal state of ``prog``
+    after ``basic_setup``. Each interleaving is followed to its end with no
+    deduplication, so nothing here rests on the explorer's state key."""
+    root = World(2, mode)
+    basic_setup(root)
+    root.quiesce()
+    reachable, terminal = set(), set()
+
+    def rec(world, k):
+        key = _objects_key(world)
+        reachable.add(key)
+        deliveries = [(st.rid, mkey) for st in world.states for mkey in sorted(st.pending)
+                      if world.deliverable(st.rid, st.pending[mkey])]
+        if k == len(prog) and not deliveries:
+            terminal.add(key)
+        if k < len(prog):
+            w2 = world.clone()
+            run_op(w2, *prog[k])
+            rec(w2, k + 1)
+        for replica, mkey in deliveries:
+            w2 = world.clone()
+            w2.apply_message(replica, *mkey)
+            rec(w2, k)
+
+    rec(root, 0)
+    return reachable, terminal
 
 
 def test_fig2_program_every_terminal_state_has_three_entries():

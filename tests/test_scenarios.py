@@ -15,10 +15,16 @@ def test_fig2_state_shape(mode):
     assert sorted(s for s, _r in st.objects["Y"].inref.current()) == ["B", "C"]
 
 
+# (states, terminals) the explorer reaches; a key that merged different
+# states or split equal ones would change them.
+FIG1_COUNTS = {PURE_CAUSAL: (2213, 70), ATOMIC: (1629, 70)}
+
+
 @pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
 def test_fig1_delete_always_refused(mode):
     report = run_fig1(mode)
     assert report.ok, report.violations[:5]
+    assert (report.states, report.terminals) == FIG1_COUNTS[mode]
     assert report.results[FIG1_ASSIGN] == {"ok"}
     assert report.results[FIG1_DELETE] == {"err:NotUnreachable"}
 

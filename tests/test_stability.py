@@ -10,6 +10,7 @@ from causalrefs.model import (
     PreconditionFailure,
     SimulatorError,
     World,
+    payload_items,
 )
 from causalrefs.refs import InRefAdd, OutRefEntry
 from causalrefs.stability import (
@@ -279,8 +280,7 @@ def full_scan_oracle(world, target, last):
     for st in world.states:
         for key in sorted(st.pending):
             msg = st.pending[key]
-            items = msg.payload.items if isinstance(msg.payload, AtomicChain) else ((msg.target, msg.payload),)
-            for tgt, p in items:
+            for tgt, p in payload_items(msg):
                 if isinstance(p, InRefAdd) and tgt == target and p.ref not in last:
                     return False
     for st in world.states:
