@@ -106,6 +106,9 @@ def cmd_explore(events, catalog, replicas, mode):
     except BoundExceeded as e:
         click.echo(f"bound exceeded: {e}", err=True)
         sys.exit(2)
+    except ConfigInvalid as e:
+        click.echo(f"config error: {e}", err=True)
+        sys.exit(2)
     click.echo(f"states explored: {report.states}")
     click.echo(f"terminal states: {report.terminals}")
     if report.ok:

@@ -10,7 +10,15 @@ prefix executed, the exact effector chains generated so far, and each
 replica's delivery progress — everything else is a deterministic function
 of those. Each chain is interned to a small int when it is generated, and a
 delivery successor's key is derived from its parent's and checked before
-the successor is built, so reaching a state again costs no copy.
+the successor is built, so reaching a state again costs no copy. A
+generation successor's key comes from a table of generation outcomes, keyed
+by what the generator can read, once the same op has run on an equal
+replica view; it too is built only if it is fresh.
+
+Successors share with their parent what they do not change: a delivery
+copies only the replica state it touches, and a copied replica state shares
+its object records until it writes one (``ReplicaState.writable``). The
+explorer never mutates a world after handing it on.
 
 ``explore_catalog`` additionally branches over a whole operation catalog at
 every generation point, covering every program up to a length bound in one
@@ -23,8 +31,8 @@ import json
 from dataclasses import dataclass, field
 
 from .canon import canon_objects
-from .harness import run_op
-from .model import OpCall, PURE_CAUSAL, World, payload_items
+from .harness import ConfigInvalid, run_op
+from .model import OpCall, PURE_CAUSAL, SimulatorError, World, payload_items
 from .refs import InRefAdd, OutRefSet
 from .stability import oracle_stable
 
@@ -159,15 +167,27 @@ def _delivery_choices(world: World) -> list:
 
 class _Search:
     """What one exploration shares across its states: the root world, the
-    report, the keys already seen and the chain interning table.
+    report, the keys already seen, the chain interning table and the
+    generation outcome table.
 
     A state travels down the recursion as its world plus its signature
     ``(events, delivery)``, the parts of its key besides the program
     position. A world handed on is never mutated again, so a delivery
     successor copies only the replica state it changes (``World.clone``).
+
+    A generator reads only its replica's state, which, like the whole state
+    behind the key, is a function of the chains applied there and of the
+    replica's delivery entry. So the outcome of running the op in slot
+    ``slot`` at ``replica`` (its result, the spawned chains and the
+    replica's new delivery entry) is kept under ``(replica, slot, entry,
+    view)``, ``view`` being the interned chains of the events applied at
+    the replica. A later attempt with the same key derives its successor's
+    signature from the table and builds the successor only if it is fresh.
     """
 
     def __init__(self, replicas: int, mode: str, setup):
+        if replicas < 1:
+            raise ConfigInvalid("need at least one replica")
         self.root = World(replicas, mode)
         if setup is not None:
             setup(self.root)
@@ -175,16 +195,23 @@ class _Search:
         self.report = ExploreReport()
         self.seen: set = set()
         self.chains: dict = {}
+        # Delivery entries and views recur across many keys; one shared
+        # copy of each keeps the table from costing memory.
+        self.shared: dict = {}
+        self.outcomes: dict = {}
         self.root_sig = self.signature(self.root)
         self.fresh(0, self.root_sig)
 
     def _intern(self, chain: tuple) -> int:
         return self.chains.setdefault(chain, len(self.chains))
 
+    def _share(self, value: tuple) -> tuple:
+        return self.shared.setdefault(value, value)
+
     def signature(self, world: World) -> tuple:
         """``world``'s signature, computed from scratch."""
         events = tuple(self._intern(world.events[eid].chain) for eid in sorted(world.events))
-        return events, tuple(_delivery_sig(st) for st in world.states)
+        return events, tuple(self._share(_delivery_sig(st)) for st in world.states)
 
     def fresh(self, k: int, sig: tuple) -> bool:
         """Mark the state (``k``, ``sig``) seen; False if it already was."""
@@ -208,21 +235,70 @@ class _Search:
         self.report.terminal_keys.add(_objects_key(world))
         self.report.violations.extend(_check_terminal(world))
 
-    def generate(self, world: World, k: int, sig: tuple, replica: int, op: OpCall) -> tuple:
-        """Run ``op`` at ``replica`` on a full copy of ``world`` (its chain is
-        unknown until it runs). Returns the result and the successor as
-        (world, signature), or None for a state already seen."""
-        w2 = world.clone()
+    def outcome_key(self, world: World, sig: tuple, replica: int, slot: int) -> tuple:
+        """The outcome table's key for running the op in ``slot`` at
+        ``replica``. The events of each origin are contiguous in ``sig``'s
+        event-id order, and a replica has applied a prefix of them, plus at
+        most the next one in part."""
+        st = world.states[replica]
+        events = sig[0]
+        view = []
+        start = 0
+        for origin in world.states:
+            o = origin.rid
+            count = st.applied_full.get(o, 0)
+            if (o, count + 1) in st.progress:
+                count += 1
+            view.extend(events[start:start + count])
+            start += origin.applied_full.get(o, 0)
+        return replica, slot, sig[1][replica], self._share(tuple(view))
+
+    def successor(self, world: World, sig: tuple, replica: int, outcome: tuple) -> tuple:
+        """The signature after ``outcome`` of a generation at ``replica``:
+        the spawned chains follow ``replica``'s earlier events."""
+        events, delivery = sig
+        _result, spawned, entry = outcome
+        if spawned:
+            at = sum(world.states[o].applied_full.get(o, 0) for o in range(replica + 1))
+            events = events[:at] + tuple(c for _eid, c in spawned) + events[at:]
+        return events, delivery[:replica] + (entry,) + delivery[replica + 1:]
+
+    def _run(self, world: World, w2: World, replica: int, op: OpCall) -> tuple:
+        """Run ``op`` at ``replica`` on ``w2``, a full copy of ``world``.
+        Returns the outcome: the result, the spawned (event id, interned
+        chain) pairs and the replica's new delivery entry."""
         result = run_op(w2, replica, op)
+        spawned = tuple((eid, self._intern(w2.events[eid].chain))
+                        for eid in sorted(w2.events.keys() - world.events.keys()))
+        return result, spawned, self._share(_delivery_sig(w2.states[replica]))
+
+    def generate(self, world: World, k: int, sig: tuple, replica: int, op: OpCall, slot: int) -> tuple:
+        """Run ``op`` (the op in ``slot`` of the program or catalog) at
+        ``replica``. Returns the result and the successor as (world,
+        signature), or None for a state already seen.
+
+        A known outcome gives the successor's signature without running
+        the op; the successor is then built, on a full copy of ``world``,
+        only if it is fresh, and must match the known outcome."""
+        key = self.outcome_key(world, sig, replica, slot)
+        outcome = self.outcomes.get(key)
+        w2 = None
+        if outcome is None:
+            w2 = world.clone()
+            outcome = self.outcomes[key] = self._run(world, w2, replica, op)
+        result = outcome[0]
         self.report.results.setdefault(k, set()).add(result)
+        new_sig = self.successor(world, sig, replica, outcome)
+        if not self.fresh(k + 1, new_sig):
+            return result, None
+        if w2 is None:
+            w2 = world.clone()
+            actual = self._run(world, w2, replica, op)
+            if actual != outcome:
+                raise SimulatorError(f"generation at replica {replica} gave {actual!r}, but "
+                                     f"{outcome!r} on an equal view")
         self.report.violations.extend(_check_refids(w2))
-        if len(w2.events) != len(world.events):
-            # New event ids interleave with the old ones, whose ids come in order.
-            old = iter(sig[0])
-            events = tuple(next(old) if eid in world.events else self._intern(w2.events[eid].chain)
-                           for eid in sorted(w2.events))
-            sig = (events, tuple(_delivery_sig(st) for st in w2.states))
-        return result, ((w2, sig) if self.fresh(k + 1, sig) else None)
+        return result, (w2, new_sig)
 
     def delivered(self, world: World, sig: tuple, replica: int, mkey) -> tuple:
         """The signature once pending message ``mkey`` is applied at
@@ -239,7 +315,7 @@ class _Search:
             applied = tuple(sorted(full.items()))
         else:
             progress[eid] = idx + 1
-        new = (applied, tuple(sorted(progress.items())))
+        new = self._share((applied, tuple(sorted(progress.items()))))
         return events, delivery[:replica] + (new,) + delivery[replica + 1:]
 
     def deliver(self, world: World, k: int, sig: tuple, replica: int, mkey):
@@ -277,7 +353,7 @@ def exhaustive_explore(program, bound: int = DEFAULT_BOUND, replicas: int = 2,
             return
         if k < len(program):
             replica, op = program[k]
-            result, child = search.generate(world, k, sig, replica, op)
+            result, child = search.generate(world, k, sig, replica, op, k)
             if path_check is not None:
                 bad = path_check(results, k, result)
                 if bad:
@@ -302,6 +378,8 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
     """
     if max_events > DEFAULT_BOUND:
         raise BoundExceeded(f"{max_events} events exceeds bound {DEFAULT_BOUND}")
+    if max_events < 0:
+        raise ConfigInvalid("the event bound must not be negative")
     search = _Search(replicas, mode, setup)
 
     def rec(world: World, sig: tuple, k: int, stable_seen: frozenset):
@@ -310,8 +388,8 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
             search.terminal(world)
         if k < max_events:
             for replica in range(replicas):
-                for op in catalog:
-                    _result, child = search.generate(world, k, sig, replica, op)
+                for slot, op in enumerate(catalog):
+                    _result, child = search.generate(world, k, sig, replica, op, slot)
                     if child is not None:
                         rec(*child, k + 1, stable_seen)
         for replica, mkey in deliveries:

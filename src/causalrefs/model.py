@@ -134,7 +134,7 @@ class ReplicaState:
     """
 
     __slots__ = (
-        "rid", "objects", "applied_full", "seen", "progress", "pending",
+        "rid", "objects", "owned", "applied_full", "seen", "progress", "pending",
         "frontier", "queries", "condemned", "created_here", "ref_counts",
         "next_key", "next_ref", "next_dot",
     )
@@ -142,6 +142,9 @@ class ReplicaState:
     def __init__(self, rid: ReplicaId):
         self.rid = rid
         self.objects: dict[str, Any] = {}
+        # Keys of the object records this state may change in place; any
+        # other record may be shared with a clone (see ``writable``).
+        self.owned: set[str] = set()
         # ref_counts[key] = surviving non-NULL outref entries targeting key,
         # across all objects at this replica (kept by apply_outref_set).
         self.ref_counts: dict[str, int] = {}
@@ -163,9 +166,14 @@ class ReplicaState:
 
     def clone(self) -> "ReplicaState":
         """Independent copy. Relies on clock dicts, effector messages, and
-        events being immutable once created (only rebound, never mutated)."""
+        events being immutable once created (only rebound, never mutated).
+
+        Object records are shared, not copied: both this state and the copy
+        give up ownership of every record, so whichever first changes one
+        copies it then (``writable``)."""
         st = ReplicaState(self.rid)
-        st.objects = {k: rec.clone() for k, rec in self.objects.items()}
+        st.objects = dict(self.objects)
+        self.owned = set()
         st.ref_counts = dict(self.ref_counts)
         st.applied_full = dict(self.applied_full)
         st.seen = dict(self.seen)
@@ -179,6 +187,15 @@ class ReplicaState:
         st.next_ref = self.next_ref
         st.next_dot = self.next_dot
         return st
+
+    def writable(self, key: str):
+        """The record of ``key``, copied first if this state does not own it.
+        Every change to a record goes through here."""
+        rec = self.objects[key]
+        if key not in self.owned:
+            rec = self.objects[key] = rec.clone()
+            self.owned.add(key)
+        return rec
 
     def fully_applied(self, eid: EventId) -> bool:
         r, seq = eid
@@ -217,6 +234,10 @@ class World:
         ``states[replica]`` alone, such as a delivery there. Generation
         needs a full copy, because it enqueues into every other replica's
         ``pending``.
+
+        A copied state shares its object records with the original until
+        either side changes one (``ReplicaState.clone``), so the cost of a
+        copy does not grow with the number of objects.
         """
         w = World.__new__(World)
         w.n = self.n

@@ -166,8 +166,7 @@ def mvr_assign(out: OutRef, new_entries: tuple[OutRefEntry, ...], write_dot: Dot
 
 
 def apply_outref_set(world: World, st: ReplicaState, key: str, p: OutRefSet) -> None:
-    rec = st.objects[key]
-    out = rec.attrs[p.attr]
+    out = st.writable(key).attrs[p.attr]
     out.retired |= p.retired
     for dot in p.retired:
         e = out.entries.pop(dot, None)
@@ -184,20 +183,21 @@ def apply_object_create(world: World, st: ReplicaState, key: str, p: ObjectCreat
     if p.key in st.objects:
         raise SimulatorError(f"object {p.key} already exists at replica {st.rid}")
     st.objects[p.key] = ObjectRecord(p.key, p.root, p.attrs)
+    st.owned.add(p.key)
 
 
 def apply_inref_add(world: World, st: ReplicaState, key: str, p: InRefAdd) -> None:
-    st.objects[key].inref.added.add((p.source, p.ref))
+    st.writable(key).inref.added.add((p.source, p.ref))
 
 
 def apply_inref_remove(world: World, st: ReplicaState, key: str, p: InRefRemove) -> None:
     # Total by construction: an absent pair is recorded anyway and the
     # well-formedness invariant flags it.
-    st.objects[key].inref.removed.add((p.source, p.ref))
+    st.writable(key).inref.removed.add((p.source, p.ref))
 
 
 def apply_mark_deleted(world: World, st: ReplicaState, key: str, p: MarkDeleted) -> None:
-    rec = st.objects[key]
+    rec = st.writable(key)
     rec.deleted = True
     rec.last_refs_at_delete = p.last
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from . import ops
-from .harness import DeliverStep, GenStep, Trace, TraceConfig
+from .harness import ConfigInvalid, DeliverStep, GenStep, Trace, TraceConfig
 from .model import OpCall
 
 FORMAT = "causalrefs-trace"
@@ -68,14 +68,19 @@ def _is_ref(v) -> bool:
 
 def _config(cfg: dict) -> TraceConfig:
     for name in ("replicas", "events"):
-        if not _is_int(cfg[name], 1):
-            raise TraceFormatError(f"malformed header: {name} must be an int of at least 1")
+        if type(cfg[name]) is not int:
+            raise TraceFormatError(f"malformed header: {name} must be an int")
     weights = cfg["weights"]
     if not isinstance(weights, dict) or not all(
             type(w) in (int, float) for w in weights.values()):
         raise TraceFormatError("malformed header: weights must map kinds to numbers")
-    return TraceConfig(replicas=cfg["replicas"], events=cfg["events"],
-                       mode=cfg["mode"], weights=dict(weights))
+    config = TraceConfig(replicas=cfg["replicas"], events=cfg["events"],
+                         mode=cfg["mode"], weights=dict(weights))
+    try:
+        config.validate()
+    except ConfigInvalid as e:
+        raise TraceFormatError(f"malformed header: {e}") from e
+    return config
 
 
 def _op(doc: dict) -> OpCall:

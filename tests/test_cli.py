@@ -3,14 +3,29 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from causalrefs import tracefile
+from causalrefs import harness, tracefile
 from causalrefs.cli import main
 from causalrefs.dot import edge_count, snapshot_dot
-from causalrefs.harness import TraceConfig, random_execution, replay
+from causalrefs.harness import MAX_EVENTS, MAX_REPLICAS, TraceConfig, random_execution, replay
 
 
 def invoke(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def refuse_worlds(monkeypatch):
+    """Make building any campaign or replay world fail the test, so input
+    that must be rejected first is never turned into a world."""
+    def no_world(*args):
+        raise AssertionError(f"a world was built for {args}")
+    monkeypatch.setattr(harness, "World", no_world)
+
+
+def assert_one_line_exit_two(res, prefix):
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), res.output
 
 
 class TestRun:
@@ -26,6 +41,17 @@ class TestRun:
     def test_bad_mode_exit_two(self):
         res = invoke("run", "--mode", "eventual")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ("--replicas", str(MAX_REPLICAS + 1)),
+        ("--replicas", "1000000000"),
+        ("--events", str(MAX_EVENTS + 1)),
+        ("--events", "1000000000"),
+        ("--replicas", "0"),
+    ])
+    def test_out_of_range_config_exit_two(self, monkeypatch, args):
+        refuse_worlds(monkeypatch)
+        assert_one_line_exit_two(invoke("run", "--executions", "1", *args), "config error:")
 
     def test_deterministic_summaries(self):
         a = invoke("run", "--executions", "25", "--seed", "11")
@@ -70,21 +96,22 @@ class TestCheck:
         "header-replicas-zero": lambda docs: docs[0]["config"].update(replicas=0),
         "header-events-bool": lambda docs: docs[0]["config"].update(events=True),
         "header-weights-string": lambda docs: docs[0]["config"]["weights"].update(create="3"),
+        "header-replicas-over-max": lambda docs: docs[0]["config"].update(replicas=MAX_REPLICAS + 1),
+        "header-replicas-huge": lambda docs: docs[0]["config"].update(replicas=10**9),
+        "header-events-over-max": lambda docs: docs[0]["config"].update(events=MAX_EVENTS + 1),
+        "header-mode-unknown": lambda docs: docs[0]["config"].update(mode="eventual"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_malformed_trace_exit_two(self, tmp_path, case):
+    def test_malformed_trace_exit_two(self, monkeypatch, tmp_path, case):
         # Seed 5 at the default configuration holds create, gen and
         # deliver records for every mutation above.
         docs = [json.loads(ln) for ln in tracefile.dumps(random_execution(5, TraceConfig())).splitlines()]
         self.MALFORMED[case](docs)
         path = tmp_path / "bad.trace"
         path.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
-        res = invoke("check", str(path))
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)
-        lines = res.output.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("cannot read trace:"), res.output
+        refuse_worlds(monkeypatch)
+        assert_one_line_exit_two(invoke("check", str(path)), "cannot read trace:")
 
 
 class TestExplore:
@@ -96,6 +123,14 @@ class TestExplore:
     def test_bound_exceeded_exit_two(self):
         res = invoke("explore", "--events", "9")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ("--replicas", "0"),
+        ("--replicas", "-3"),
+        ("--events", "-1"),
+    ])
+    def test_bad_scope_exit_two(self, args):
+        assert_one_line_exit_two(invoke("explore", *args), "config error:")
 
 
 class TestScenario:
