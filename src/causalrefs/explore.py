@@ -4,7 +4,9 @@ the randomized harness.
 Given a short program (a fixed sequence of operations, each pinned to a
 replica), the explorer enumerates every causally-valid interleaving of
 generation and effector delivery, checking safety invariants in every
-reachable state and convergence properties in every terminal state.
+reachable state and convergence properties in every terminal state, with
+the invariant clauses the harness defines (``harness.entry_fault`` and the
+functions after it).
 Reached states are deduplicated by a sound structural key: the program
 prefix executed, the exact effector chains generated so far, and each
 replica's delivery progress — everything else is a deterministic function
@@ -31,9 +33,17 @@ import json
 from dataclasses import dataclass, field
 
 from .canon import canon_objects
-from .harness import ConfigInvalid, run_op
-from .model import OpCall, PURE_CAUSAL, SimulatorError, World, payload_items
-from .refs import InRefAdd, OutRefSet
+from .harness import (
+    ConfigInvalid,
+    deleted_faults,
+    diverging_replicas,
+    entry_fault,
+    listing_mismatches,
+    log_faults,
+    removal_fault,
+    run_op,
+)
+from .model import OpCall, PURE_CAUSAL, SimulatorError, World
 from .stability import oracle_stable
 
 DEFAULT_BOUND = 5
@@ -73,25 +83,25 @@ def _delivery_sig(st) -> tuple:
     return (tuple(sorted(st.applied_full.items())), tuple(sorted(st.progress.items())))
 
 
-def _check_state(world: World) -> list:
-    """Per-state safety: I1 (no dangling entry, entry listed at target),
-    I3 local half (deleted object's listing within its ignore-set), I4."""
+def _check_state(world: World, replica=None) -> list:
+    """Every clause on a record (I1, I3's local half, I4) on every record of
+    ``states[replica]``, or of every replica state when ``replica`` is None."""
     out = []
-    for st in world.states:
+    for st in world.states if replica is None else (world.states[replica],):
+        at = f"at replica {st.rid}"
         for key, rec in st.objects.items():
-            if not rec.inref.removed <= rec.inref.added:
-                out.append(f"I4 at replica {st.rid}: removed outside added for {key}")
-            if rec.deleted and not {r for _s, r in rec.inref.current()} <= rec.last_refs_at_delete:
-                out.append(f"I3 at replica {st.rid}: listing of deleted {key} outside ignore-set")
+            for pair in sorted(rec.inref.removed):
+                bad = removal_fault(rec, pair)
+                if bad:
+                    out.append(f"I4 {at}: {bad}")
+            if rec.deleted:
+                out.extend(f"{invariant} {at}: {bad}" for invariant, bad in deleted_faults(st, rec))
             for attr, outref in rec.attrs.items():
                 for e in outref.entries.values():
-                    if e.target is None:
-                        continue
-                    trec = st.objects.get(e.target)
-                    if trec is None or trec.deleted:
-                        out.append(f"I1 at replica {st.rid}: {key}.{attr} references deleted/missing {e.target}")
-                    elif (key, e.ref) not in trec.inref.current():
-                        out.append(f"I1 at replica {st.rid}: ({key},{e.ref}) not listed at {e.target}")
+                    if e.target is not None:
+                        bad = entry_fault(st, key, attr, e)
+                        if bad:
+                            out.append(f"I1 {at}: {bad}")
     return out
 
 
@@ -116,43 +126,14 @@ def _check_stability(world: World, stable_seen: frozenset):
 
 
 def _check_refids(world: World) -> list:
-    """I2: each RefId enters one inref-add and one outref introduction."""
-    out = []
-    added: dict = {}
-    intro: dict = {}
-    for eid in sorted(world.events):
-        for msg in world.events[eid].chain:
-            for _target, p in payload_items(msg):
-                if type(p) is InRefAdd:
-                    if p.ref in added and added[p.ref] != eid:
-                        out.append(f"I2: ref {p.ref} added by {added[p.ref]} and {eid}")
-                    added[p.ref] = eid
-                elif type(p) is OutRefSet:
-                    for e in p.entries:
-                        if e.ref is None:
-                            continue
-                        if e.ref in intro and intro[e.ref] != eid:
-                            out.append(f"I2: ref {e.ref} introduced by {intro[e.ref]} and {eid}")
-                        intro[e.ref] = eid
-    return out
+    """The event-log checks: I2 and the global half of I3."""
+    return [f"{invariant}: {detail}" for invariant, _replica, detail in log_faults(world)]
 
 
 def _check_terminal(world: World) -> list:
-    out = []
-    canons = [canon_objects(st) for st in world.states]
-    for r in range(1, world.n):
-        if canons[r] != canons[0]:
-            out.append(f"I5: replica {r} diverges at terminal state")
-    st0 = world.states[0]
-    for key, rec in st0.objects.items():
-        actual = set()
-        for src_key, src in st0.objects.items():
-            for outref in src.attrs.values():
-                for e in outref.entries.values():
-                    if e.target == key:
-                        actual.add((src_key, e.ref))
-        if rec.inref.current() != actual:
-            out.append(f"I6: listing of {key} does not match surviving entries")
+    """I5 and I6 at a terminal state, which is quiescent."""
+    out = [f"I5: replica {r} diverges at terminal state" for r in diverging_replicas(world)]
+    out.extend(f"I6: {detail}" for detail in listing_mismatches(world.states[0]))
     return out
 
 
@@ -221,10 +202,12 @@ class _Search:
         self.seen.add(key)
         return True
 
-    def visit(self, world: World, stable_seen: frozenset) -> tuple:
-        """Count and check a newly reached state. Returns its enabled
+    def visit(self, world: World, replica, stable_seen: frozenset) -> tuple:
+        """Count and check a newly reached state, which differs from the
+        state it was reached from only at ``replica`` (None at the root): the
+        other replica states were checked there. Returns its enabled
         deliveries and the updated set of oracle-stable queries."""
-        viols = _check_state(world)
+        viols = _check_state(world, replica)
         stab, stable_seen = _check_stability(world, stable_seen)
         self.report.states += 1
         self.report.violations.extend(viols + stab)
@@ -346,8 +329,8 @@ def exhaustive_explore(program, bound: int = DEFAULT_BOUND, replicas: int = 2,
     search = _Search(replicas, mode, setup)
     report = search.report
 
-    def rec(world: World, sig: tuple, k: int, results: tuple, stable_seen: frozenset):
-        deliveries, stable_seen = search.visit(world, stable_seen)
+    def rec(world: World, sig: tuple, changed, k: int, results: tuple, stable_seen: frozenset):
+        deliveries, stable_seen = search.visit(world, changed, stable_seen)
         if k == len(program) and not deliveries:
             search.terminal(world)
             return
@@ -359,13 +342,13 @@ def exhaustive_explore(program, bound: int = DEFAULT_BOUND, replicas: int = 2,
                 if bad:
                     report.violations.append(bad)
             if child is not None:
-                rec(*child, k + 1, results + (result,), stable_seen)
+                rec(*child, replica, k + 1, results + (result,), stable_seen)
         for replica, mkey in deliveries:
             child = search.deliver(world, k, sig, replica, mkey)
             if child is not None:
-                rec(*child, k, results, stable_seen)
+                rec(*child, replica, k, results, stable_seen)
 
-    rec(search.root, search.root_sig, 0, (), frozenset())
+    rec(search.root, search.root_sig, None, 0, (), frozenset())
     return report
 
 
@@ -382,8 +365,8 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
         raise ConfigInvalid("the event bound must not be negative")
     search = _Search(replicas, mode, setup)
 
-    def rec(world: World, sig: tuple, k: int, stable_seen: frozenset):
-        deliveries, stable_seen = search.visit(world, stable_seen)
+    def rec(world: World, sig: tuple, changed, k: int, stable_seen: frozenset):
+        deliveries, stable_seen = search.visit(world, changed, stable_seen)
         if not deliveries:
             search.terminal(world)
         if k < max_events:
@@ -391,13 +374,13 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
                 for slot, op in enumerate(catalog):
                     _result, child = search.generate(world, k, sig, replica, op, slot)
                     if child is not None:
-                        rec(*child, k + 1, stable_seen)
+                        rec(*child, replica, k + 1, stable_seen)
         for replica, mkey in deliveries:
             child = search.deliver(world, k, sig, replica, mkey)
             if child is not None:
-                rec(*child, k, stable_seen)
+                rec(*child, replica, k, stable_seen)
 
-    rec(search.root, search.root_sig, 0, frozenset())
+    rec(search.root, search.root_sig, None, 0, frozenset())
     return search.report
 
 

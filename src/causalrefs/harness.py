@@ -394,102 +394,172 @@ def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
 
 # ---------------------------------------------------------------------------
 # Invariant checking.
+#
+# Each clause of I1-I6 is defined once below. A clause returns what it found
+# wrong: a detail string, or None when it holds (the functions covering
+# several clauses return lists). The Checker runs the clauses during a
+# replay, and the explorer (``explore``) at the states it reaches; each only
+# chooses where to run them and how to word what they find.
+
+def entry_fault(st, key: str, attr: str, e):
+    """I1 for the non-NULL entry ``e`` of ``key.attr`` at replica state
+    ``st``: its target exists, is not deleted and lists (``key``, ``e.ref``)."""
+    trec = st.objects.get(e.target)
+    if trec is None or trec.deleted:
+        return f"{key}.{attr} references deleted/missing {e.target}"
+    if (key, e.ref) not in trec.inref.current():
+        return f"({key},{e.ref}) missing from listing of {e.target}"
+    return None
+
+
+def removal_fault(rec, pair):
+    """I4 for one pair in the removed set of ``rec``'s listing: it was added."""
+    if pair not in rec.inref.added:
+        return f"removed unknown pair {pair} at {rec.key}"
+    return None
+
+
+def listing_fault(rec, pair):
+    """I3, local half, for one pair listed at the deleted ``rec``: its
+    reference is in the delete's ignore-set."""
+    if pair[1] not in rec.last_refs_at_delete:
+        return f"listing pair ({pair[0]},{pair[1]}) at deleted {rec.key} outside its ignore-set"
+    return None
+
+
+def deleted_faults(st, rec) -> list:
+    """The clauses on the deleted ``rec`` at replica state ``st``, as
+    (invariant, detail) pairs: it is not a root (I1), no entry at ``st``
+    targets it (I1), and each pair of its listing passes ``listing_fault``."""
+    out = []
+    if rec.root:
+        out.append(("I1", f"root object {rec.key} deleted"))
+    if st.ref_counts.get(rec.key, 0) > 0:
+        out.append(("I1", f"{rec.key} deleted while entries still target it here"))
+    for pair in sorted(rec.inref.current()):
+        bad = listing_fault(rec, pair)
+        if bad:
+            out.append(("I3", bad))
+    return out
+
+
+def log_faults(world: World) -> list:
+    """The event-log checks, as (invariant, replica, detail) triples.
+
+    I2: each reference id enters inref-adds from one event only, and outref
+    entries from one event only. I3, global half: every listing addition to
+    an object a delete event deletes, outside that delete's ignore-set,
+    comes from an event in the delete's causal past."""
+    out = []
+    added: dict = {}
+    intro: dict = {}
+    adds: list = []
+    deletes: list = []
+    for ev in world.events.values():
+        eid = ev.id
+        for msg in ev.chain:
+            for target, p in payload_items(msg):
+                kind = type(p)
+                if kind is InRefAdd:
+                    prev = added.setdefault(p.ref, eid)
+                    if prev != eid:
+                        out.append(("I2", ev.replica, f"ref {p.ref} added by {prev} and {eid}"))
+                    adds.append((ev, target, p))
+                elif kind is OutRefSet:
+                    for e in p.entries:
+                        if e.ref is None:
+                            continue
+                        prev = intro.setdefault(e.ref, eid)
+                        if prev != eid:
+                            out.append(("I2", ev.replica, f"ref {e.ref} introduced by {prev} and {eid}"))
+                elif kind is MarkDeleted:
+                    deletes.append((ev, target, p.last))
+    for d, target, last in deletes:
+        for ev, tgt, p in adds:
+            if tgt != target or p.ref in last or ev is d:
+                continue
+            r, seq = ev.id
+            if d.deps.get(r, 0) < seq:
+                out.append(("I3", d.replica,
+                            f"add of ({p.source},{p.ref}) to {target} by {ev.id} not before delete {d.id}"))
+    return out
+
+
+def diverging_replicas(world: World) -> list:
+    """I5 at a quiesced ``world``: the replicas whose object state differs
+    from replica 0's."""
+    canons = [canon_objects(st) for st in world.states]
+    return [r for r in range(1, world.n) if canons[r] != canons[0]]
+
+
+def listing_mismatches(st) -> list:
+    """I6 at a quiesced replica state: each object's listing holds exactly
+    the (source, ref) pairs of the surviving entries that target it."""
+    targeted: dict = {}
+    for src_key, src in st.objects.items():
+        for out in src.attrs.values():
+            for e in out.entries.values():
+                targeted.setdefault(e.target, set()).add((src_key, e.ref))
+    out = []
+    for key, rec in st.objects.items():
+        listed, actual = rec.inref.current(), targeted.get(key, set())
+        if listed != actual:
+            out.append(f"listing of {key} is {sorted(listed)}, entries say {sorted(actual)}")
+    return out
+
 
 class Checker:
-    """Incremental invariant checks, hooked into effector application.
+    """Runs the invariant clauses during a replay.
 
-    I1: a surviving non-NULL entry implies its target is not deleted and its
-        (source, ref) pair is in the target's current listing.
-    I2: each reference id is introduced by exactly one event.
-    I3: no listing pair outside the recorded ignore-set is ever added to a
-        deleted object (the global concurrency side is checked by
-        ``scan_deletions``).
-    I4: inref.removed stays within inref.added.
+    ``on_apply``, the world's application hook, checks after each payload
+    only the clauses that payload can falsify; ``scan_deletions`` runs the
+    event-log checks once the trace has been replayed.
     """
 
     def __init__(self):
         self.violations: list = []
         self.step = -1
-        self.minted: dict = {}
-        self.intro: dict = {}
-        self.deletions: list = []  # (event id, target, last)
         self.multivalued = False
 
     def on_apply(self, world: World, st, msg) -> None:
         for target, p in payload_items(msg):
-            self._check(world, st, msg.event_id, target, p)
+            kind = type(p)
+            if kind is OutRefSet:
+                out = st.objects[target].attrs[p.attr]
+                for e in p.entries:
+                    if e.target is not None and e.write_dot in out.entries:
+                        self._bad("I1", st, entry_fault(st, target, p.attr, e))
+                if len(out.entries) > 1:
+                    self.multivalued = True
+            elif kind is InRefAdd:
+                rec = st.objects[target]
+                if rec.deleted:
+                    self._bad("I3", st, listing_fault(rec, (p.source, p.ref)))
+            elif kind is InRefRemove:
+                self._bad("I4", st, removal_fault(st.objects[target], (p.source, p.ref)))
+                # A removal unlists the pair, so an entry still holding the
+                # reference now fails I1.
+                src = st.objects.get(p.source)
+                if src is not None:
+                    for attr, out in src.attrs.items():
+                        for e in out.entries.values():
+                            if e.ref == p.ref:
+                                self._bad("I1", st, entry_fault(st, p.source, attr, e))
+            elif kind is MarkDeleted:
+                for invariant, detail in deleted_faults(st, st.objects[target]):
+                    self._bad(invariant, st, detail)
 
-    def _bad(self, invariant: str, st, detail: str) -> None:
-        self.violations.append(Violation(invariant, self.step, st.rid, detail))
-
-    def _check(self, world: World, st, eid, target, p) -> None:
-        if type(p) is InRefAdd:
-            prev = self.minted.get(p.ref)
-            if prev is not None and prev != eid:
-                self._bad("I2", st, f"ref {p.ref} added by {prev} and {eid}")
-            self.minted[p.ref] = eid
-            rec = st.objects[target]
-            if rec.deleted and p.ref not in rec.last_refs_at_delete:
-                self._bad("I3", st, f"listing pair ({p.source},{p.ref}) added to deleted {target}")
-        elif type(p) is OutRefSet:
-            out = st.objects[target].attrs[p.attr]
-            for e in p.entries:
-                if e.target is None or e.write_dot not in out.entries:
-                    continue
-                prev = self.intro.get(e.ref)
-                if prev is not None and prev != eid:
-                    self._bad("I2", st, f"ref {e.ref} introduced by {prev} and {eid}")
-                self.intro[e.ref] = eid
-                trec = st.objects.get(e.target)
-                if trec is None or trec.deleted:
-                    self._bad("I1", st, f"{target}.{p.attr} references deleted/missing {e.target}")
-                elif (target, e.ref) not in trec.inref.current():
-                    self._bad("I1", st, f"({target},{e.ref}) missing from listing of {e.target}")
-            if len(out.entries) > 1:
-                self.multivalued = True
-        elif type(p) is InRefRemove:
-            rec = st.objects[target]
-            pair = (p.source, p.ref)
-            if pair not in rec.inref.added:
-                self._bad("I4", st, f"removed unknown pair {pair} at {target}")
-            src = st.objects.get(p.source)
-            if src is not None:
-                for attr, out in src.attrs.items():
-                    for e in out.entries.values():
-                        if e.ref == p.ref:
-                            self._bad("I1", st, f"{p.source}.{attr} still holds {p.ref} after listing removal")
-        elif type(p) is MarkDeleted:
-            rec = st.objects[target]
-            if rec.root:
-                self._bad("I1", st, f"root object {target} deleted")
-            if st.ref_counts.get(target, 0) > 0:
-                self._bad("I1", st, f"{target} deleted while entries still target it here")
-            self.deletions.append((eid, target, p.last))
+    def _bad(self, invariant: str, st, detail) -> None:
+        """Record ``detail`` as a violation of ``invariant`` at ``st``,
+        unless it is None (the clause holds)."""
+        if detail is not None:
+            self.violations.append(Violation(invariant, self.step, st.rid, detail))
 
     def scan_deletions(self, world: World) -> None:
-        """Global half of I3: every listing addition outside the ignore-set
-        must happen causally before the deletion."""
-        adds: list = []
-        for ev in world.events.values():
-            for msg in ev.chain:
-                for target, p in payload_items(msg):
-                    if type(p) is InRefAdd:
-                        adds.append((ev, target, p))
-        seen = set()
-        for eid_d, target, last in self.deletions:
-            if (eid_d, target) in seen:
-                continue
-            seen.add((eid_d, target))
-            d = world.events[eid_d]
-            for ev, tgt, p in adds:
-                if tgt != target or p.ref in last or ev.id == eid_d:
-                    continue
-                r, seq = ev.id
-                if d.deps.get(r, 0) < seq:
-                    self.violations.append(Violation(
-                        "I3", -1, d.replica,
-                        f"add of ({p.source},{p.ref}) to {target} by {ev.id} not before delete {eid_d}",
-                    ))
+        """The event-log checks (I2 and the global half of I3), once per
+        replayed trace."""
+        for invariant, replica, detail in log_faults(world):
+            self.violations.append(Violation(invariant, -1, replica, detail))
 
 
 def _check_refinement(checker: Checker, world: World, step_index: int, step: GenStep) -> None:
@@ -530,22 +600,11 @@ def check_invariants(trace: Trace, strict: bool = True) -> InvariantReport:
     world.quiesce()
 
     n = world.n
-    canons = [canon_objects(st) for st in world.states]
-    for r in range(1, n):
-        if canons[r] != canons[0]:
-            checker.violations.append(Violation("I5", -1, r, "replica state diverges from replica 0 after quiesce"))
-
+    for r in diverging_replicas(world):
+        checker.violations.append(Violation("I5", -1, r, "replica state diverges from replica 0 after quiesce"))
     st0 = world.states[0]
-    for key, rec in st0.objects.items():
-        actual = set()
-        for src_key, src in st0.objects.items():
-            for out in src.attrs.values():
-                for e in out.entries.values():
-                    if e.target == key:
-                        actual.add((src_key, e.ref))
-        if rec.inref.current() != actual:
-            checker.violations.append(Violation(
-                "I6", -1, 0, f"listing of {key} is {sorted(rec.inref.current())}, entries say {sorted(actual)}"))
+    for detail in listing_mismatches(st0):
+        checker.violations.append(Violation("I6", -1, 0, detail))
 
     checker.scan_deletions(world)
 
@@ -584,8 +643,7 @@ def convergence_check(trace: Trace) -> bool:
     """Quiesce the replayed world and compare all replica object maps."""
     world, _ = replay(trace)
     world.quiesce()
-    canons = [canon_objects(st) for st in world.states]
-    return all(c == canons[0] for c in canons[1:])
+    return not diverging_replicas(world)
 
 
 # ---------------------------------------------------------------------------

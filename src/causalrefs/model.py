@@ -68,16 +68,6 @@ def vc_merge(a: dict, b: dict) -> dict:
     return out
 
 
-def vc_glb(clocks: list[dict]) -> dict:
-    """Pointwise minimum; a replica absent from any clock reads as 0."""
-    if not clocks:
-        return {}
-    keys = set()
-    for c in clocks:
-        keys.update(c)
-    return {r: min(c.get(r, 0) for c in clocks) for r in keys}
-
-
 # ---------------------------------------------------------------------------
 # Operations, events, messages.
 
@@ -135,7 +125,7 @@ class ReplicaState:
 
     __slots__ = (
         "rid", "objects", "owned", "applied_full", "seen", "progress", "pending",
-        "frontier", "queries", "condemned", "created_here", "ref_counts",
+        "queries", "condemned", "created_here", "ref_counts",
         "next_key", "next_ref", "next_dot",
     )
 
@@ -156,7 +146,6 @@ class ReplicaState:
         self.progress: dict[EventId, int] = {}
         # pending[(eid, chain_index)] = undelivered message addressed to us.
         self.pending: dict[tuple[EventId, int], EffectorMessage] = {}
-        self.frontier: dict[int, dict] = {}
         self.queries: dict[Any, Any] = {}
         self.condemned: set[str] = set()
         self.created_here: set[str] = set()
@@ -179,7 +168,6 @@ class ReplicaState:
         st.seen = dict(self.seen)
         st.progress = dict(self.progress)
         st.pending = dict(self.pending)
-        st.frontier = dict(self.frontier)
         st.queries = {k: q.clone() for k, q in self.queries.items()}
         st.condemned = set(self.condemned)
         st.created_here = set(self.created_here)
@@ -314,24 +302,6 @@ class World:
             if applied.get(r, 0) < c:
                 return False
         return True
-
-    def deliver(self, replica: ReplicaId, msg: EffectorMessage) -> str:
-        """Apply ``msg`` if deliverable, else buffer it.
-
-        After an application, buffered messages are re-examined. Returns
-        "applied" or "buffered".
-        """
-        st = self.states[replica]
-        if st.is_applied(msg.event_id, msg.chain_index):
-            raise DuplicateDelivery(f"{msg.event_id}[{msg.chain_index}] at replica {replica}")
-        key = (msg.event_id, msg.chain_index)
-        if self.deliverable(replica, msg):
-            st.pending.pop(key, None)
-            self._apply(st, msg)
-            self.drain(replica)
-            return "applied"
-        st.pending[key] = msg
-        return "buffered"
 
     def apply_message(self, replica: ReplicaId, eid: EventId, chain_index: int) -> None:
         """Apply exactly one pending message; it must be deliverable.

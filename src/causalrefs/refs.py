@@ -146,24 +146,7 @@ class MarkDeleted:
 
 
 # ---------------------------------------------------------------------------
-# Pure MVR reconciliation, usable standalone.
-
-def mvr_assign(out: OutRef, new_entries: tuple[OutRefEntry, ...], write_dot: Dot):
-    """Overwrite the entries currently visible in ``out`` with ``new_entries``.
-
-    Returns (new OutRef, overwritten entries). ``write_dot`` must be fresh.
-    Entries concurrent to this write (arriving later with dots outside the
-    observed context) survive alongside the new entries.
-    """
-    if write_dot in out.retired or write_dot in out.entries:
-        raise SimulatorError(f"write dot {write_dot} reused")
-    overwritten = out.surviving()
-    result = OutRef()
-    result.retired = out.retired | {e.write_dot for e in overwritten}
-    for e in new_entries:
-        result.entries[e.write_dot] = e
-    return result, overwritten
-
+# Effector appliers.
 
 def apply_outref_set(world: World, st: ReplicaState, key: str, p: OutRefSet) -> None:
     out = st.writable(key).attrs[p.attr]

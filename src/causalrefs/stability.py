@@ -33,7 +33,6 @@ from .model import (
     SimulatorError,
     World,
     vc_geq,
-    vc_glb,
     vc_merge,
     payload_items,
 )
@@ -116,14 +115,6 @@ class QueryObserver:
                 self.stable = True
 
 
-def frontier_glb(st: ReplicaState, n: int) -> dict:
-    """Pointwise minimum of the latest announced clocks, zero until every
-    replica has announced at least once."""
-    if len(st.frontier) < n:
-        return {}
-    return vc_glb(list(st.frontier.values()))
-
-
 def _query_sort_key(key: QueryKey):
     return (key[0], sorted(key[1]))
 
@@ -167,7 +158,6 @@ def apply_clock_announce(world: World, st: ReplicaState, target, p: ClockAnnounc
     # Every report carries the announce's own clock; decode it once. Clock
     # dicts are never mutated in place, so the observers may share it.
     clock = dict(p.clock)
-    st.frontier[p.announcer] = vc_merge(st.frontier.get(p.announcer, {}), clock)
     for rep in p.reports:
         q = st.queries.get((rep.target, rep.last))
         if q is None:

@@ -6,9 +6,9 @@ from causalrefs.model import (
     DuplicateDelivery,
     OpCall,
     PreconditionFailure,
+    SimulatorError,
     World,
     vc_geq,
-    vc_glb,
     vc_leq,
     vc_merge,
 )
@@ -30,10 +30,6 @@ class TestVectorClocks:
     def test_merge_pointwise_max(self):
         assert vc_merge({0: 1, 1: 3}, {0: 2, 2: 1}) == {0: 2, 1: 3, 2: 1}
 
-    def test_glb_pointwise_min(self):
-        assert vc_glb([{0: 2, 1: 1}, {0: 1, 2: 5}]) == {0: 1, 1: 0, 2: 0}
-        assert vc_glb([]) == {}
-
 
 class TestGeneration:
     def test_create_in_fresh_world(self):
@@ -44,7 +40,6 @@ class TestGeneration:
         assert "A" not in w.states[1].objects
 
     def test_unknown_operation_kind_is_simulator_error(self):
-        from causalrefs.model import SimulatorError
         w = World(1)
         with pytest.raises(SimulatorError):
             w.generate(0, OpCall("frobnicate", {}))
@@ -101,19 +96,19 @@ class TestDelivery:
     def test_deliver_buffers_out_of_order(self):
         w = World(2)
         ev = self._one_chain(w)
-        # The init depends on both creates; deliver it first: must buffer.
+        # The init depends on both creates; applying it first is refused and
+        # it stays buffered.
         st = w.states[1]
-        msg = st.pending[(ev.id, 0)]
-        assert w.deliver(1, msg) == "buffered"
+        with pytest.raises(SimulatorError):
+            w.apply_message(1, ev.id, 0)
         assert (ev.id, 0) in st.pending
 
     def test_duplicate_delivery_raises(self):
         w = World(2)
         ev = create(w, 0, "A")
-        msg = w.states[1].pending[(ev.id, 0)]
-        assert w.deliver(1, msg) == "applied"
+        w.apply_message(1, ev.id, 0)
         with pytest.raises(DuplicateDelivery):
-            w.deliver(1, msg)
+            w.apply_message(1, ev.id, 0)
 
     def test_quiesce_delivers_everything_and_is_idempotent(self):
         w = World(3)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from causalrefs.model import OpCall, PreconditionFailure, World
-from causalrefs.refs import OutRef, OutRefEntry, mvr_assign
+from causalrefs.refs import OutRefEntry
 
 
 def create(world, replica, key, root=False, attrs=("f",)):
@@ -116,30 +116,36 @@ class TestAssign:
         assert e.value.reason == "NullSource"
 
     def test_sequential_double_assign_all_delivery_orders(self):
-        # Two sequential copies of A.a into B.b: whatever order replica 1
-        # applies the chains' messages in (causally valid), the second write
-        # overwrites the first — one surviving entry, one B-pair listed at X.
-        n_orders = 0
+        # Two sequential copies of A.a into B.b, their five messages arriving
+        # at replica 1 in every order: causal delivery buffers each message
+        # until its causal past and its chain prefix have applied, so the
+        # application order is always the causal one, and the second write
+        # overwrites the first: one surviving entry, one B-pair listed at X.
+        buffering = 0
         for order in itertools.permutations(range(5)):
             w = figure1_initial()
             e1 = assign(w, 0, "B", "b", "A", "a")
             e2 = assign(w, 0, "B", "b", "A", "a")
-            msgs = list(e1.chain) + list(e2.chain)
+            st = w.states[1]
+            keys = [(m.event_id, m.chain_index) for m in e1.chain + e2.chain]
             # First assign over empty B.b: no removal suffix (2 messages);
             # second assign retires the first entry (3 messages).
-            assert len(msgs) == 5
-            sequence = [msgs[i] for i in order]
-            st = w.states[1]
-            for m in sequence:
-                # Skip anything an earlier application already drained in.
-                if not st.is_applied(m.event_id, m.chain_index):
-                    w.deliver(1, m)
+            assert len(keys) == 5 and set(st.pending) == set(keys)
+            msgs = {key: st.pending.pop(key) for key in keys}
+            applied, buffered = [], False
+            for i in order:
+                st.pending[keys[i]] = msgs[keys[i]]
+                drained = w.drain(1)
+                buffered |= keys[i] not in drained
+                applied.extend(drained)
+            assert applied == keys and not st.pending
+            buffering += buffered
             bb = st.objects["B"].attrs["b"].non_null()
             assert len(bb) == 1 and bb[0].target == "X"
             b_pairs = {p for p in st.objects["X"].inref.current() if p[0] == "B"}
             assert len(b_pairs) == 1
-            n_orders += 1
-        assert n_orders == 120
+        # Every arrival order but the causal one buffers some message.
+        assert buffering == 119
 
     def test_each_assign_mints_fresh_refid(self):
         w = figure1_initial(replicas=3)
@@ -210,13 +216,6 @@ class TestInvoke:
 
 
 class TestMvrAssign:
-    def test_sequential_overwrite(self):
-        out = OutRef()
-        out.entries[(0, 0)] = OutRefEntry("X", (0, 0), (0, 0))
-        new, overwritten = mvr_assign(out, (OutRefEntry("Y", (0, 1), (0, 1)),), (0, 1))
-        assert [e.target for e in new.surviving()] == ["Y"]
-        assert [e.target for e in overwritten] == ["X"]
-
     def test_concurrent_writes_merge(self):
         # Two writes over the same empty register: each observes nothing, so
         # applying both (in either order via apply_outref_set) keeps both.
@@ -234,13 +233,6 @@ class TestMvrAssign:
         from causalrefs.scenarios import run_fig2
         world, problems = run_fig2()
         assert problems == []
-
-    def test_reused_dot_rejected(self):
-        from causalrefs.model import SimulatorError
-        out = OutRef()
-        out.retired.add((0, 0))
-        with pytest.raises(SimulatorError):
-            mvr_assign(out, (), (0, 0))
 
 
 class TestDelete:

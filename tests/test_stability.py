@@ -18,7 +18,6 @@ from causalrefs.stability import (
     QueryObserver,
     Report,
     apply_clock_announce,
-    frontier_glb,
     oracle_stable,
     stably_subset,
 )
@@ -78,39 +77,6 @@ class TestObserver:
         assert q.stable
         q.report(0, False, {0: 3})
         assert q.stable
-
-
-class TestFrontier:
-    def test_zero_until_everyone_announced(self):
-        w = unreferenced_world()
-        assert frontier_glb(w.states[0], w.n) == {}
-        w.generate(0, OpCall("announce"))
-        w.quiesce()
-        assert frontier_glb(w.states[1], w.n) == {}
-        w.generate(1, OpCall("announce"))
-        w.quiesce()
-        glb = frontier_glb(w.states[0], w.n)
-        assert glb and all(c >= 0 for c in glb.values())
-
-    def test_single_replica_glb_is_own_clock(self):
-        w = World(1)
-        create(w, 0, "A", root=True)
-        w.generate(0, OpCall("announce"))
-        st = w.states[0]
-        # The announced clock is the state observed at generation time,
-        # which does not include the announce event itself.
-        assert frontier_glb(st, 1) == {0: 1}
-
-    def test_monotone_nondecreasing(self):
-        w = unreferenced_world()
-        last = {}
-        for _ in range(4):
-            announce_round(w)
-            create(w, 0, f"t{w.states[0].next_key}", root=True)
-            w.states[0].next_key += 1
-            glb = frontier_glb(w.states[1], w.n)
-            assert all(glb.get(r, 0) >= c for r, c in last.items())
-            last = glb
 
 
 class TestDetection:
