@@ -22,7 +22,6 @@ from .harness import (
     Trace,
     TraceConfig,
     check_invariants,
-    convergence_check,
     random_execution,
     run_campaign,
     shrink,
@@ -50,7 +49,6 @@ __all__ = [
     "TraceConfig",
     "World",
     "check_invariants",
-    "convergence_check",
     "exhaustive_explore",
     "explore_catalog",
     "may_delete",

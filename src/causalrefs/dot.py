@@ -57,12 +57,3 @@ def snapshot_dot(st: ReplicaState, name: str = "snapshot") -> str:
                 )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def edge_count(st: ReplicaState) -> int:
-    """Number of surviving non-NULL outref entries (equals the edge count)."""
-    return sum(
-        len(out.non_null())
-        for rec in st.objects.values()
-        for out in rec.attrs.values()
-    )

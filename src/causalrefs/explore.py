@@ -22,9 +22,10 @@ copies only the replica state it touches, and a copied replica state shares
 its object records until it writes one (``ReplicaState.writable``). The
 explorer never mutates a world after handing it on.
 
-``explore_catalog`` additionally branches over a whole operation catalog at
-every generation point, covering every program up to a length bound in one
-shared search.
+``exhaustive_explore`` runs one program; ``explore_catalog`` branches over
+a whole operation catalog at every generation point, covering every program
+up to a length bound in one shared search. Both are the one search
+``_run``, offered different generations.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ class _Search:
             events = events[:at] + tuple(c for _eid, c in spawned) + events[at:]
         return events, delivery[:replica] + (entry,) + delivery[replica + 1:]
 
-    def _run(self, world: World, w2: World, replica: int, op: OpCall) -> tuple:
+    def _execute(self, world: World, w2: World, replica: int, op: OpCall) -> tuple:
         """Run ``op`` at ``replica`` on ``w2``, a full copy of ``world``.
         Returns the outcome: the result, the spawned (event id, interned
         chain) pairs and the replica's new delivery entry."""
@@ -255,9 +256,9 @@ class _Search:
                         for eid in sorted(w2.events.keys() - world.events.keys()))
         return result, spawned, self._share(_delivery_sig(w2.states[replica]))
 
-    def generate(self, world: World, k: int, sig: tuple, replica: int, op: OpCall, slot: int) -> tuple:
+    def generate(self, world: World, k: int, sig: tuple, replica: int, op: OpCall, slot: int):
         """Run ``op`` (the op in ``slot`` of the program or catalog) at
-        ``replica``. Returns the result and the successor as (world,
+        ``replica``, recording its result. Returns the successor as (world,
         signature), or None for a state already seen.
 
         A known outcome gives the successor's signature without running
@@ -268,20 +269,19 @@ class _Search:
         w2 = None
         if outcome is None:
             w2 = world.clone()
-            outcome = self.outcomes[key] = self._run(world, w2, replica, op)
-        result = outcome[0]
-        self.report.results.setdefault(k, set()).add(result)
+            outcome = self.outcomes[key] = self._execute(world, w2, replica, op)
+        self.report.results.setdefault(k, set()).add(outcome[0])
         new_sig = self.successor(world, sig, replica, outcome)
         if not self.fresh(k + 1, new_sig):
-            return result, None
+            return None
         if w2 is None:
             w2 = world.clone()
-            actual = self._run(world, w2, replica, op)
+            actual = self._execute(world, w2, replica, op)
             if actual != outcome:
                 raise SimulatorError(f"generation at replica {replica} gave {actual!r}, but "
                                      f"{outcome!r} on an equal view")
         self.report.violations.extend(_check_refids(w2))
-        return result, (w2, new_sig)
+        return w2, new_sig
 
     def delivered(self, world: World, sig: tuple, replica: int, mkey) -> tuple:
         """The signature once pending message ``mkey`` is applied at
@@ -312,44 +312,38 @@ class _Search:
         return w2, sig
 
 
-def exhaustive_explore(program, bound: int = DEFAULT_BOUND, replicas: int = 2,
-                       mode: str = PURE_CAUSAL, setup=None, path_check=None) -> ExploreReport:
-    """Explore every interleaving of ``program`` (a list of (replica, OpCall)).
+def _run(search: _Search, steps: list, ends_anywhere: bool) -> ExploreReport:
+    """The depth-first search. ``steps[k]`` lists the (replica, slot, op)
+    choices for the ``k``-th generation. A quiescent state is terminal once
+    every generation has run, or at any position when ``ends_anywhere``."""
 
-    ``setup`` optionally prepares the world (its events are quiesced and not
-    explored). ``path_check(results, index, result)`` is called at every
-    generation with the tuple of results along the current path; a returned
-    string is recorded as a violation. Note that results of read-only
-    operations are not part of the deduplication key, so ``path_check``
-    should only correlate event-generating outcomes.
-    """
-    program = list(program)
-    if len(program) > bound:
-        raise BoundExceeded(f"{len(program)} events exceeds bound {bound}")
-    search = _Search(replicas, mode, setup)
-    report = search.report
-
-    def rec(world: World, sig: tuple, changed, k: int, results: tuple, stable_seen: frozenset):
+    def rec(world: World, sig: tuple, changed, k: int, stable_seen: frozenset):
         deliveries, stable_seen = search.visit(world, changed, stable_seen)
-        if k == len(program) and not deliveries:
+        if not deliveries and (ends_anywhere or k == len(steps)):
             search.terminal(world)
-            return
-        if k < len(program):
-            replica, op = program[k]
-            result, child = search.generate(world, k, sig, replica, op, k)
-            if path_check is not None:
-                bad = path_check(results, k, result)
-                if bad:
-                    report.violations.append(bad)
-            if child is not None:
-                rec(*child, replica, k + 1, results + (result,), stable_seen)
+        if k < len(steps):
+            for replica, slot, op in steps[k]:
+                child = search.generate(world, k, sig, replica, op, slot)
+                if child is not None:
+                    rec(*child, replica, k + 1, stable_seen)
         for replica, mkey in deliveries:
             child = search.deliver(world, k, sig, replica, mkey)
             if child is not None:
-                rec(*child, replica, k, results, stable_seen)
+                rec(*child, replica, k, stable_seen)
 
-    rec(search.root, search.root_sig, None, 0, (), frozenset())
-    return report
+    rec(search.root, search.root_sig, None, 0, frozenset())
+    return search.report
+
+
+def exhaustive_explore(program, replicas: int = 2, mode: str = PURE_CAUSAL,
+                       setup=None) -> ExploreReport:
+    """Explore every interleaving of ``program`` (a list of (replica, OpCall)).
+
+    ``setup`` optionally prepares the world (its events are quiesced and not
+    explored).
+    """
+    steps = [[(replica, k, op)] for k, (replica, op) in enumerate(program)]
+    return _run(_Search(replicas, mode, setup), steps, ends_anywhere=False)
 
 
 def explore_catalog(catalog, max_events: int, replicas: int = 2,
@@ -363,25 +357,8 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
         raise BoundExceeded(f"{max_events} events exceeds bound {DEFAULT_BOUND}")
     if max_events < 0:
         raise ConfigInvalid("the event bound must not be negative")
-    search = _Search(replicas, mode, setup)
-
-    def rec(world: World, sig: tuple, changed, k: int, stable_seen: frozenset):
-        deliveries, stable_seen = search.visit(world, changed, stable_seen)
-        if not deliveries:
-            search.terminal(world)
-        if k < max_events:
-            for replica in range(replicas):
-                for slot, op in enumerate(catalog):
-                    _result, child = search.generate(world, k, sig, replica, op, slot)
-                    if child is not None:
-                        rec(*child, replica, k + 1, stable_seen)
-        for replica, mkey in deliveries:
-            child = search.deliver(world, k, sig, replica, mkey)
-            if child is not None:
-                rec(*child, replica, k, stable_seen)
-
-    rec(search.root, search.root_sig, None, 0, frozenset())
-    return search.report
+    choices = [(replica, slot, op) for replica in range(replicas) for slot, op in enumerate(catalog)]
+    return _run(_Search(replicas, mode, setup), [choices] * max_events, ends_anywhere=True)
 
 
 # ---------------------------------------------------------------------------

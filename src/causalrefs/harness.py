@@ -570,14 +570,13 @@ def _check_refinement(checker: Checker, world: World, step_index: int, step: Gen
         st = world.states[step.replica]
         probe = (step.op.args["target"], last_refs_arg(st, step.op.args["target"], step.op.args.get("last", "auto")))
     elif step.op.kind == "delete" and step.result == "ok":
-        # The delete event is the last one this step spawned; read its
-        # recorded ignore-set from the mark-deleted payload.
-        ev = max((e for e in world.events.values() if e.op is step.op), key=lambda e: e.id, default=None)
-        if ev is not None:
-            for msg in ev.chain:
-                for target, p in payload_items(msg):
-                    if type(p) is MarkDeleted:
-                        probe = (target, p.last)
+        # The delete event is the last one generated at the step's replica
+        # (a query it registers comes first); its chain ends with the
+        # mark-deleted payload, which records the ignore-set.
+        r = step.replica
+        ev = world.events[(r, world.states[r].applied_full[r])]
+        target, p = payload_items(ev.chain[-1])[-1]
+        probe = (target, p.last)
     if probe is not None and not stability.oracle_stable(world, probe[0], probe[1]):
         checker.violations.append(Violation(
             "refinement", step_index, step.replica,
@@ -637,13 +636,6 @@ def check_invariants(trace: Trace, strict: bool = True) -> InvariantReport:
     report.stats["failed_events"] = sum(
         1 for s in norm if isinstance(s, GenStep) and s.result.startswith("err:"))
     return report
-
-
-def convergence_check(trace: Trace) -> bool:
-    """Quiesce the replayed world and compare all replica object maps."""
-    world, _ = replay(trace)
-    world.quiesce()
-    return not diverging_replicas(world)
 
 
 # ---------------------------------------------------------------------------

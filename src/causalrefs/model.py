@@ -346,40 +346,37 @@ class World:
         if self.on_apply is not None:
             self.on_apply(self, st, msg)
 
+    def _pass(self, st: ReplicaState) -> list:
+        """Apply, in one pass over ``st``'s sorted ``pending`` keys, each
+        message deliverable when its turn comes. Returns the applied keys."""
+        applied = []
+        for key in sorted(st.pending):
+            msg = st.pending[key]
+            if self.deliverable(st.rid, msg):
+                st.pending.pop(key)
+                self._apply(st, msg)
+                applied.append(key)
+        return applied
+
     def drain(self, replica: ReplicaId) -> list:
         """Apply every buffered message at ``replica`` that is or becomes
-        deliverable, in passes over the sorted ``pending`` keys until a pass
-        applies nothing. Returns the applied keys in application order."""
-        st = self.states[replica]
+        deliverable, in passes until a pass applies nothing. Returns the
+        applied keys in application order."""
         applied = []
-        progressed = True
-        while progressed:
-            progressed = False
-            for key in sorted(st.pending):
-                msg = st.pending[key]
-                if self.deliverable(replica, msg):
-                    st.pending.pop(key)
-                    self._apply(st, msg)
-                    applied.append(key)
-                    progressed = True
+        while keys := self._pass(self.states[replica]):
+            applied += keys
         return applied
 
     def quiesce(self) -> None:
-        """Deliver every outstanding effector everywhere, in some causal order.
+        """Deliver every outstanding effector everywhere, in some causal order:
+        rounds of one pass per replica.
 
         Raises Stuck if a buffered message can never be delivered (which
         would indicate a causal-closure bug).
         """
         while any(st.pending for st in self.states):
-            progressed = False
-            for st in self.states:
-                for key in sorted(st.pending):
-                    msg = st.pending[key]
-                    if self.deliverable(st.rid, msg):
-                        st.pending.pop(key)
-                        self._apply(st, msg)
-                        progressed = True
-            if not progressed:
+            # A list, not a generator: every replica takes its pass.
+            if not any([self._pass(st) for st in self.states]):
                 stuck = [(st.rid, key) for st in self.states for key in sorted(st.pending)]
                 raise Stuck(f"undeliverable messages remain: {stuck[:5]}")
 

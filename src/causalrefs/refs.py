@@ -234,21 +234,23 @@ def _mint_dot(st: ReplicaState) -> Dot:
     return dot
 
 
-def _reference_chain(st: ReplicaState, source: str, attr: str, target: str):
-    """Shared tail of init and assign: mint the reference, then build
-    [inref-add; outref-set; inref-remove per overwritten entry]."""
-    out = st.objects[source].attrs[attr]
-    ref = _mint_ref(st)
-    dot = _mint_dot(st)
-    overwritten = out.surviving()
+def _write(st: ReplicaState, source: str, attr: str, target: str | None, ref: RefId | None) -> list:
+    """Write the single entry (``target``, ``ref``) into ``source.attr`` over
+    the entries observed here: [outref-set; inref-remove per overwritten
+    non-NULL entry]."""
+    overwritten = st.objects[source].attrs[attr].surviving()
     ctx = frozenset(e.write_dot for e in overwritten)
-    chain = [
-        (target, InRefAdd(source, ref)),
-        (source, OutRefSet(attr, (OutRefEntry(target, ref, dot),), ctx)),
-    ]
+    chain = [(source, OutRefSet(attr, (OutRefEntry(target, ref, _mint_dot(st)),), ctx))]
     for e in sorted((e for e in overwritten if e.target is not None), key=lambda e: e.ref):
         chain.append((e.target, InRefRemove(source, e.ref)))
     return chain
+
+
+def _reference_chain(st: ReplicaState, source: str, attr: str, target: str):
+    """Shared tail of init and assign: mint the reference, then build
+    [inref-add; the write of the new entry]."""
+    ref = _mint_ref(st)
+    return [(target, InRefAdd(source, ref))] + _write(st, source, attr, target, ref)
 
 
 def last_refs_arg(st: ReplicaState, target: str, last) -> frozenset[RefId]:
@@ -304,15 +306,8 @@ def gen_assign(world: World, st: ReplicaState, a: dict):
 
 def gen_assign_null(world: World, st: ReplicaState, a: dict):
     source, attr = a["source"], a["attr"]
-    rec = _live_record(st, source)
-    out = _outref(rec, attr)
-    dot = _mint_dot(st)
-    overwritten = out.surviving()
-    ctx = frozenset(e.write_dot for e in overwritten)
-    chain = [(source, OutRefSet(attr, (OutRefEntry(None, None, dot),), ctx))]
-    for e in sorted((e for e in overwritten if e.target is not None), key=lambda e: e.ref):
-        chain.append((e.target, InRefRemove(source, e.ref)))
-    return chain
+    _outref(_live_record(st, source), attr)
+    return _write(st, source, attr, None, None)
 
 
 def gen_delete(world: World, st: ReplicaState, a: dict):
@@ -333,13 +328,7 @@ def gen_delete(world: World, st: ReplicaState, a: dict):
         raise PreconditionFailure("NotUnreachable", target)
     chain = []
     for attr in sorted(rec.attrs):
-        out = rec.attrs[attr]
-        dot = _mint_dot(st)
-        overwritten = out.surviving()
-        ctx = frozenset(e.write_dot for e in overwritten)
-        chain.append((target, OutRefSet(attr, (OutRefEntry(None, None, dot),), ctx)))
-        for e in sorted((e for e in overwritten if e.target is not None), key=lambda e: e.ref):
-            chain.append((e.target, InRefRemove(target, e.ref)))
+        chain += _write(st, target, attr, None, None)
     chain.append((target, MarkDeleted(last)))
     return chain
 

@@ -83,14 +83,6 @@ class QueryObserver:
         q.stable = self.stable
         return q
 
-    @property
-    def phase(self) -> str:
-        if self.stable:
-            return "stable"
-        if self.sup is not None:
-            return "confirming"
-        return "collecting"
-
     def report(self, replica: int, holds: bool, clock: dict) -> None:
         if self.stable:
             return

@@ -98,6 +98,8 @@ def _op(doc: dict) -> OpCall:
     attrs = args.get("attrs", [])
     if not isinstance(attrs, list) or not all(isinstance(a, str) for a in attrs):
         raise TraceFormatError(f"{kind} argument 'attrs' is not a list of strings")
+    if not isinstance(args.get("root", False), bool):
+        raise TraceFormatError(f"{kind} argument 'root' is not a boolean")
     last = args.get("last", "auto")
     if last != "auto" and not (isinstance(last, list) and all(_is_ref(r) for r in last)):
         raise TraceFormatError(f"{kind} argument 'last' is neither \"auto\" nor a list of refs")

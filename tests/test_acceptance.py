@@ -24,7 +24,7 @@ from causalrefs.canon import world_fingerprint
 from causalrefs.explore import basic_catalog, basic_setup, explore_catalog
 from causalrefs.harness import (
     TraceConfig,
-    convergence_check,
+    check_invariants,
     execution_seed,
     random_execution,
     replay,
@@ -97,7 +97,6 @@ def test_criterion_5_oracle_refinement(campaign_pure):
     # each stably-positive detection; sanity-check a dedicated 10 000 on a
     # different seed as well.
     assert campaign_pure["violations"].get("refinement", 0) == 0
-    from causalrefs.harness import check_invariants
     for i in range(10_000):
         trace = random_execution(execution_seed(77, i), TraceConfig())
         report = check_invariants(trace)
@@ -133,7 +132,7 @@ def test_criterion_7_convergence(mode):
     cfg = TraceConfig(mode=mode)
     for i in range(10_000):
         trace = random_execution(execution_seed(31, i), cfg)
-        assert convergence_check(trace), f"divergence in trace {i} ({mode})"
+        assert "I5" not in check_invariants(trace).failed_invariants(), f"divergence in trace {i} ({mode})"
     print(f"criterion 7 [{mode}]: 10 000 traces converge after quiesce: PASS")
 
 

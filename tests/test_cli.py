@@ -5,8 +5,13 @@ from click.testing import CliRunner
 
 from causalrefs import harness, tracefile
 from causalrefs.cli import main
-from causalrefs.dot import edge_count, snapshot_dot
+from causalrefs.dot import snapshot_dot
 from causalrefs.harness import MAX_EVENTS, MAX_REPLICAS, TraceConfig, random_execution, replay
+
+
+def edge_count(st):
+    """Surviving non-NULL outref entries: one DOT edge each."""
+    return sum(len(out.non_null()) for rec in st.objects.values() for out in rec.attrs.values())
 
 
 def invoke(*args):
@@ -86,6 +91,7 @@ class TestCheck:
         "args-missing-key": lambda docs: TestCheck.first_gen(docs, "create")["op"]["args"].pop("key"),
         "args-not-object": lambda docs: TestCheck.first_gen(docs)["op"].update(args=["key"]),
         "name-arg-not-string": lambda docs: TestCheck.first_gen(docs, "create")["op"]["args"].update(key=["A"]),
+        "root-not-bool": lambda docs: TestCheck.first_gen(docs, "create")["op"]["args"].update(root="false"),
         "unknown-kind": lambda docs: TestCheck.first_gen(docs)["op"].update(kind="teleport"),
         "gen-replica-out-of-range": lambda docs: TestCheck.first_gen(docs).update(replica=9),
         "deliver-replica-negative": lambda docs: TestCheck.first_deliver(docs).update(replica=-1),

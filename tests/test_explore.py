@@ -25,9 +25,6 @@ CATALOG_COUNTS = {
 
 
 def test_bound_enforced():
-    prog = [(0, OpCall("announce", {}))] * 6
-    with pytest.raises(BoundExceeded):
-        exhaustive_explore(prog, bound=5)
     with pytest.raises(BoundExceeded):
         explore_catalog(basic_catalog(), 6)
 
@@ -90,16 +87,16 @@ def test_successor_keys_and_shared_states(monkeypatch, mode):
         expected = run_op(full, replica, op)
         key = search.outcome_key(world, sig, replica, slot)
         known = key in search.outcomes
-        result, child = generate(search, world, k, sig, replica, op, slot)
+        child = generate(search, world, k, sig, replica, op, slot)
         outcome = search.outcomes[key]
-        assert result == outcome[0] == expected
+        assert outcome[0] == expected
         predicted = explore._state_key(k + 1, *search.successor(world, sig, replica, outcome))
         assert predicted == explore._state_key(k + 1, *search.signature(full))
         if child is not None:
             assert child[1] == search.signature(child[0])
         if known:
             table["hit_seen" if child is None else "hit_fresh"] += 1
-        return result, child
+        return child
 
     def checked_deliver(search, world, k, sig, replica, mkey):
         full = world.clone()
@@ -158,7 +155,7 @@ def _payloads(world):
 
 def _replica_snapshot(world):
     return world_fingerprint(world), [
-        (dict(st.ref_counts), {k: (q.phase, dict(q.snapshot)) for k, q in st.queries.items()})
+        (dict(st.ref_counts), {k: (q.sup, q.stable, dict(q.snapshot)) for k, q in st.queries.items()})
         for st in world.states]
 
 

@@ -7,7 +7,9 @@ Each fault is put in with monkeypatch for one test only:
 - backward retirement: the inref-removes of the overwritten entries go out
   before the outref write that overwrites them;
 - no pledge: a replica reporting a target unreferenced does not promise to
-  mint no new reference to it.
+  mint no new reference to it;
+- no detection: ``may_delete`` says yes at once, so a delete never waits
+  for the stability detector.
 
 The two chain faults only reorder the payloads of one chain. In atomic mode
 a chain is one message, applied whole before any check runs, so they change
@@ -18,10 +20,11 @@ catches it.
 
 import pytest
 
-from causalrefs import explore, ops, refs
+from causalrefs import explore, ops, refs, stability
 from causalrefs.explore import basic_catalog, basic_setup, explore_catalog
 from causalrefs.harness import TraceConfig, check_invariants, execution_seed, random_execution
 from causalrefs.model import ATOMIC, PURE_CAUSAL
+from causalrefs.scenarios import run_fig1
 
 # Random traces (3 replicas, 20 events) a campaign may take to catch a fault.
 BUDGET = 20
@@ -119,3 +122,10 @@ def test_explorer_checks_of_changed_replica_find_everything(monkeypatch, fault):
     check_state = explore._check_state
     monkeypatch.setattr(explore, "_check_state", lambda world, replica=None: check_state(world))
     assert changed and explorer_findings(PURE_CAUSAL) == changed
+
+
+@pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
+def test_fig1_catches_delete_without_detection(monkeypatch, mode):
+    monkeypatch.setattr(stability, "may_delete", lambda world, replica, target, last: (True, []))
+    found = [v for v in run_fig1(mode).violations if v.startswith("fig1:")]
+    assert len(found) == 1, found

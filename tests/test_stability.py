@@ -46,8 +46,7 @@ class TestObserver:
         q = QueryObserver(2)
         q.report(0, True, {0: 1})
         q.report(1, True, {0: 2, 1: 1})
-        assert q.phase == "confirming"
-        assert q.sup == {0: 2, 1: 1}
+        assert q.sup == {0: 2, 1: 1} and not q.stable
         # The report that completed the snapshot does not itself confirm.
         assert q.confirm == set()
         q.report(0, True, {0: 2, 1: 1})
@@ -60,7 +59,7 @@ class TestObserver:
         q.report(0, True, {0: 1})
         q.report(1, True, {1: 1})
         q.report(0, False, {0: 2})
-        assert q.phase == "collecting"
+        assert q.sup is None and not q.stable
 
     def test_confirmation_needs_dominating_clock(self):
         q = QueryObserver(2)
