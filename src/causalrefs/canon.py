@@ -1,52 +1,71 @@
 """Canonical, order-independent serialization of replica state.
 
-Used for convergence comparison, replay determinism checks and the
-explorer's reachable and terminal state keys. Everything is reduced to
-sorted JSON-native structures so two states are equal iff their canonical
-forms are equal.
+``canon_objects(st)`` is the canonical JSON text of a replica's objects,
+byte for byte what ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+gives for ``doc`` = {key: {"attrs": {attr: {"entries": [[target, ref,
+write dot], ...], "retired": [dot, ...]}}, "deleted": bool, "inref":
+{"added": [[source, ref], ...], "removed": [...]}, "last": [ref, ...],
+"root": bool}}, with every list sorted. Two replica states are equal iff
+their texts are. It serves the convergence comparison (I5) and the
+explorer's terminal keys.
+
+The text is built from per-record text, and each record caches its own in
+its ``canon`` slot. The cache stays valid because every change to a record
+goes through ``ReplicaState.writable``, which clears the slot of a record it
+hands out for change in place, while a copied record
+(``ObjectRecord.clone``) starts without one. Records that worlds share
+copy-on-write thus have their text built once.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
-from .model import ReplicaState, World
+from .model import ReplicaState
 from .refs import ObjectRecord
 
 
-def canon_entry(e) -> list:
-    return [e.target, list(e.ref) if e.ref else None, list(e.write_dot)]
+def _bool(value) -> str:
+    return "true" if value else "false"
 
 
-def canon_outref(out) -> dict:
-    return {
-        "entries": [canon_entry(out.entries[d]) for d in sorted(out.entries)],
-        "retired": sorted(list(d) for d in out.retired),
-    }
+def _pairs(pairs) -> str:
+    """Sorted (int, int) pairs: refs or dots."""
+    if not pairs:
+        return "[]"
+    return "[" + ",".join([f"[{a},{b}]" for a, b in sorted(pairs)]) + "]"
 
 
-def canon_record(rec: ObjectRecord) -> dict:
-    return {
-        "root": rec.root,
-        "deleted": rec.deleted,
-        "last": sorted(list(r) for r in rec.last_refs_at_delete),
-        "inref": {
-            "added": sorted([s, list(r)] for s, r in rec.inref.added),
-            "removed": sorted([s, list(r)] for s, r in rec.inref.removed),
-        },
-        "attrs": {a: canon_outref(out) for a, out in sorted(rec.attrs.items())},
-    }
+def _listing(pairs) -> str:
+    """Sorted (source, ref) pairs of an inref set."""
+    if not pairs:
+        return "[]"
+    return "[" + ",".join([f"[{_quote(s)},[{a},{b}]]" for s, (a, b) in sorted(pairs)]) + "]"
 
 
-def canon_objects(st: ReplicaState) -> dict:
-    return {k: canon_record(st.objects[k]) for k in sorted(st.objects)}
+def _entry(e) -> str:
+    target = "null" if e.target is None else _quote(e.target)
+    ref = f"[{e.ref[0]},{e.ref[1]}]" if e.ref else "null"
+    return f"[{target},{ref},[{e.write_dot[0]},{e.write_dot[1]}]]"
 
 
-def world_fingerprint(world: World) -> bytes:
-    """Byte-stable serialization of every replica's object state."""
-    doc = {
-        "mode": world.mode,
-        "states": [canon_objects(st) for st in world.states],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+def _outref(out) -> str:
+    entries = ",".join([_entry(out.entries[d]) for d in sorted(out.entries)])
+    return f'{{"entries":[{entries}],"retired":{_pairs(out.retired)}}}'
 
+
+def _record(rec: ObjectRecord) -> str:
+    text = rec.canon
+    if text is None:
+        attrs = ",".join([f"{_quote(a)}:{_outref(rec.attrs[a])}" for a in sorted(rec.attrs)])
+        text = rec.canon = (
+            f'{{"attrs":{{{attrs}}},"deleted":{_bool(rec.deleted)},'
+            f'"inref":{{"added":{_listing(rec.inref.added)},'
+            f'"removed":{_listing(rec.inref.removed)}}},'
+            f'"last":{_pairs(rec.last_refs_at_delete)},"root":{_bool(rec.root)}}}')
+    return text
+
+
+def canon_objects(st: ReplicaState) -> str:
+    objects = st.objects
+    return "{" + ",".join([f"{_quote(k)}:{_record(objects[k])}" for k in sorted(objects)]) + "}"

@@ -67,7 +67,7 @@ def cmd_run(seed, executions, events, replicas, mode, out):
 def _load_trace(path) -> Trace:
     try:
         return tracefile.loads(pathlib.Path(path).read_text())
-    except (OSError, tracefile.TraceFormatError) as e:
+    except (OSError, UnicodeDecodeError, tracefile.TraceFormatError) as e:
         click.echo(f"cannot read trace: {e}", err=True)
         sys.exit(2)
 

@@ -30,11 +30,11 @@ up to a length bound in one shared search. Both are the one search
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .canon import canon_objects
 from .harness import (
+    MAX_REPLICAS,
     ConfigInvalid,
     deleted_faults,
     diverging_replicas,
@@ -70,8 +70,8 @@ class ExploreReport:
 
 
 def _objects_key(world: World) -> str:
-    return json.dumps([canon_objects(st) for st in world.states],
-                      sort_keys=True, separators=(",", ":"))
+    """The canonical JSON text of the list of every replica's objects."""
+    return "[" + ",".join(canon_objects(st) for st in world.states) + "]"
 
 
 def _state_key(k: int, events: tuple, delivery: tuple) -> tuple:
@@ -156,6 +156,10 @@ class _Search:
     ``(events, delivery)``, the parts of its key besides the program
     position. A world handed on is never mutated again, so a delivery
     successor copies only the replica state it changes (``World.clone``).
+    For the same reason a record's cached canonical text stays valid in
+    every world that shares the record: a successor that changes it
+    changes a copy, which starts without text. So each record's text is
+    built once, however many terminal keys and I5 checks read it.
 
     A generator reads only its replica's state, which, like the whole state
     behind the key, is a function of the chains applied there and of the
@@ -168,8 +172,8 @@ class _Search:
     """
 
     def __init__(self, replicas: int, mode: str, setup):
-        if replicas < 1:
-            raise ConfigInvalid("need at least one replica")
+        if not 1 <= replicas <= MAX_REPLICAS:
+            raise ConfigInvalid(f"replicas must be between 1 and {MAX_REPLICAS}")
         self.root = World(replicas, mode)
         if setup is not None:
             setup(self.root)
@@ -357,8 +361,9 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
         raise BoundExceeded(f"{max_events} events exceeds bound {DEFAULT_BOUND}")
     if max_events < 0:
         raise ConfigInvalid("the event bound must not be negative")
+    search = _Search(replicas, mode, setup)
     choices = [(replica, slot, op) for replica in range(replicas) for slot, op in enumerate(catalog)]
-    return _run(_Search(replicas, mode, setup), [choices] * max_events, ends_anywhere=True)
+    return _run(search, [choices] * max_events, ends_anywhere=True)
 
 
 # ---------------------------------------------------------------------------

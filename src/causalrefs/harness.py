@@ -487,7 +487,7 @@ def log_faults(world: World) -> list:
 
 def diverging_replicas(world: World) -> list:
     """I5 at a quiesced ``world``: the replicas whose object state differs
-    from replica 0's."""
+    from replica 0's, compared by canonical text."""
     canons = [canon_objects(st) for st in world.states]
     return [r for r in range(1, world.n) if canons[r] != canons[0]]
 

@@ -178,11 +178,14 @@ class ReplicaState:
 
     def writable(self, key: str):
         """The record of ``key``, copied first if this state does not own it.
-        Every change to a record goes through here."""
+        Every change to a record goes through here, so an owned record handed
+        out for change in place drops its cached canonical text."""
         rec = self.objects[key]
         if key not in self.owned:
             rec = self.objects[key] = rec.clone()
             self.owned.add(key)
+        else:
+            rec.canon = None
         return rec
 
     def fully_applied(self, eid: EventId) -> bool:

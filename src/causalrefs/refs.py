@@ -91,7 +91,10 @@ class InRef:
 
 
 class ObjectRecord:
-    __slots__ = ("key", "root", "attrs", "inref", "deleted", "last_refs_at_delete")
+    """One object's state at a replica. ``canon`` caches the record's
+    canonical text (``canon.canon_objects``); a copy starts without it."""
+
+    __slots__ = ("key", "root", "attrs", "inref", "deleted", "last_refs_at_delete", "canon")
 
     def __init__(self, key: str, root: bool, attrs: tuple[str, ...]):
         self.key = key
@@ -100,6 +103,7 @@ class ObjectRecord:
         self.inref = InRef()
         self.deleted = False
         self.last_refs_at_delete: frozenset[RefId] = frozenset()
+        self.canon: str | None = None
 
     def clone(self) -> "ObjectRecord":
         rec = ObjectRecord(self.key, self.root, ())

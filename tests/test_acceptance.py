@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from causalrefs.canon import world_fingerprint
+from canon_reference import world_fingerprint
 from causalrefs.explore import basic_catalog, basic_setup, explore_catalog
 from causalrefs.harness import (
     TraceConfig,

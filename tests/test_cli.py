@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from causalrefs import harness, tracefile
+from causalrefs import explore, harness, tracefile
 from causalrefs.cli import main
 from causalrefs.dot import snapshot_dot
 from causalrefs.harness import MAX_EVENTS, MAX_REPLICAS, TraceConfig, random_execution, replay
@@ -18,12 +18,17 @@ def invoke(*args):
     return CliRunner().invoke(main, list(args))
 
 
-def refuse_worlds(monkeypatch):
-    """Make building any campaign or replay world fail the test, so input
-    that must be rejected first is never turned into a world."""
+def refuse_worlds(monkeypatch, module=harness):
+    """Make building any world in ``module`` (by default any campaign or
+    replay world) fail the test, so input that must be rejected first is
+    never turned into a world."""
     def no_world(*args):
         raise AssertionError(f"a world was built for {args}")
-    monkeypatch.setattr(harness, "World", no_world)
+    monkeypatch.setattr(module, "World", no_world)
+
+
+# A trace file that is not UTF-8 text.
+NOT_UTF8 = b"\xff\xfe\x00bad"
 
 
 def assert_one_line_exit_two(res, prefix):
@@ -106,16 +111,22 @@ class TestCheck:
         "header-replicas-huge": lambda docs: docs[0]["config"].update(replicas=10**9),
         "header-events-over-max": lambda docs: docs[0]["config"].update(events=MAX_EVENTS + 1),
         "header-mode-unknown": lambda docs: docs[0]["config"].update(mode="eventual"),
+        # Raw file contents rather than a change to a valid trace.
+        "not-utf8": NOT_UTF8,
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_trace_exit_two(self, monkeypatch, tmp_path, case):
         # Seed 5 at the default configuration holds create, gen and
         # deliver records for every mutation above.
-        docs = [json.loads(ln) for ln in tracefile.dumps(random_execution(5, TraceConfig())).splitlines()]
-        self.MALFORMED[case](docs)
+        malformed = self.MALFORMED[case]
         path = tmp_path / "bad.trace"
-        path.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
+        if isinstance(malformed, bytes):
+            path.write_bytes(malformed)
+        else:
+            docs = [json.loads(ln) for ln in tracefile.dumps(random_execution(5, TraceConfig())).splitlines()]
+            malformed(docs)
+            path.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
         refuse_worlds(monkeypatch)
         assert_one_line_exit_two(invoke("check", str(path)), "cannot read trace:")
 
@@ -134,8 +145,11 @@ class TestExplore:
         ("--replicas", "0"),
         ("--replicas", "-3"),
         ("--events", "-1"),
+        ("--replicas", str(MAX_REPLICAS + 1)),
+        ("--replicas", "1000000000"),
     ])
-    def test_bad_scope_exit_two(self, args):
+    def test_bad_scope_exit_two(self, monkeypatch, args):
+        refuse_worlds(monkeypatch, explore)
         assert_one_line_exit_two(invoke("explore", *args), "config error:")
 
 
@@ -180,6 +194,13 @@ class TestExportDot:
         path.write_text(tracefile.dumps(tr))
         assert invoke("export-dot", str(path), "--step", "100000", "--replica", "0").exit_code == 2
         assert invoke("export-dot", str(path), "--step", "0", "--replica", "7").exit_code == 2
+
+    def test_not_utf8_exit_two(self, monkeypatch, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_bytes(NOT_UTF8)
+        refuse_worlds(monkeypatch)
+        res = invoke("export-dot", str(path), "--step", "0", "--replica", "0")
+        assert_one_line_exit_two(res, "cannot read trace:")
 
 
 class TestDotModule:

@@ -1,7 +1,7 @@
 import pytest
 
 from causalrefs import explore
-from causalrefs.canon import world_fingerprint
+from canon_reference import world_fingerprint
 from causalrefs.explore import (
     BoundExceeded,
     _objects_key,

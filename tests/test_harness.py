@@ -1,6 +1,6 @@
 import pytest
 
-from causalrefs.canon import world_fingerprint
+from canon_reference import world_fingerprint
 from causalrefs.harness import (
     ConfigInvalid,
     DeliverStep,

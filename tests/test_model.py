@@ -12,7 +12,7 @@ from causalrefs.model import (
     vc_leq,
     vc_merge,
 )
-from causalrefs.canon import world_fingerprint
+from canon_reference import world_fingerprint
 from causalrefs.refs import InRefAdd, InRefRemove, OutRefSet
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from causalrefs import tracefile
 from causalrefs.harness import TraceConfig, execution_seed, random_execution, replay
-from causalrefs.canon import world_fingerprint
+from canon_reference import world_fingerprint
 
 
 def test_round_trip_identity():
