@@ -251,14 +251,13 @@ class _Search:
             events = events[:at] + tuple(c for _eid, c in spawned) + events[at:]
         return events, delivery[:replica] + (entry,) + delivery[replica + 1:]
 
-    def _execute(self, world: World, w2: World, replica: int, op: OpCall) -> tuple:
-        """Run ``op`` at ``replica`` on ``w2``, a full copy of ``world``.
+    def _execute(self, world: World, replica: int, op: OpCall) -> tuple:
+        """Run ``op`` at ``replica`` on ``world``, a fresh full copy.
         Returns the outcome: the result, the spawned (event id, interned
         chain) pairs and the replica's new delivery entry."""
-        result = run_op(w2, replica, op)
-        spawned = tuple((eid, self._intern(w2.events[eid].chain))
-                        for eid in sorted(w2.events.keys() - world.events.keys()))
-        return result, spawned, self._share(_delivery_sig(w2.states[replica]))
+        result, spawned = run_op(world, replica, op)
+        spawned = tuple((ev.id, self._intern(ev.chain)) for ev in spawned)
+        return result, spawned, self._share(_delivery_sig(world.states[replica]))
 
     def generate(self, world: World, k: int, sig: tuple, replica: int, op: OpCall, slot: int):
         """Run ``op`` (the op in ``slot`` of the program or catalog) at
@@ -273,14 +272,14 @@ class _Search:
         w2 = None
         if outcome is None:
             w2 = world.clone()
-            outcome = self.outcomes[key] = self._execute(world, w2, replica, op)
+            outcome = self.outcomes[key] = self._execute(w2, replica, op)
         self.report.results.setdefault(k, set()).add(outcome[0])
         new_sig = self.successor(world, sig, replica, outcome)
         if not self.fresh(k + 1, new_sig):
             return None
         if w2 is None:
             w2 = world.clone()
-            actual = self._execute(world, w2, replica, op)
+            actual = self._execute(w2, replica, op)
             if actual != outcome:
                 raise SimulatorError(f"generation at replica {replica} gave {actual!r}, but "
                                      f"{outcome!r} on an equal view")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import stability
 from .canon import canon_objects
@@ -25,7 +26,6 @@ from .model import (
     PreconditionFailure,
     SimulatorError,
     World,
-    payload_items,
 )
 from .refs import InRefAdd, InRefRemove, MarkDeleted, OutRefSet, last_refs_arg
 
@@ -148,22 +148,25 @@ def _format_result(kind: str, value) -> str:
     return "ok"
 
 
-def run_op(world: World, replica: int, op: OpCall) -> str:
-    """Run one operation and return its recorded result string."""
+def run_op(world: World, replica: int, op: OpCall) -> tuple:
+    """Run one operation. Returns its recorded result string and the events
+    it spawned, in generation order: every event added to the log during
+    the call, including the query a failing delete registered."""
+    before = len(world.events)
     try:
-        value, _ = world.execute(replica, op)
+        result = _format_result(op.kind, world.execute(replica, op))
     except PreconditionFailure as e:
-        return f"err:{e.reason}"
-    return _format_result(op.kind, value)
+        result = f"err:{e.reason}"
+    # The log keeps generation order, so the spawned events are its tail.
+    spawned = list(islice(reversed(world.events.values()), len(world.events) - before))
+    spawned.reverse()
+    return result, spawned
 
 
 def _execute_labeled(world: World, replica: int, op: OpCall, label: str, labels: dict, eid_labels: dict):
     """Run one operation, labeling every event it spawns. Returns the
     result string and the spawned events."""
-    world.spawn_log = []
-    result = run_op(world, replica, op)
-    spawned = world.spawn_log
-    world.spawn_log = None
+    result, spawned = run_op(world, replica, op)
     for j, ev in enumerate(spawned):
         lab = label if j == 0 else f"{label}.{j}"
         labels[lab] = ev.id
@@ -356,7 +359,8 @@ def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
     In strict mode any divergence from the recorded outcomes raises
     ReplayMismatch. In lenient mode (used by the shrinker) invalid steps are
     dropped and recorded results are overwritten with the actual ones; the
-    normalized steps then replay strictly.
+    normalized steps then replay strictly. ``on_step(world, i, step)`` runs
+    after each step ``i``, with the step as kept, or None if it was dropped.
     """
     trace.config.validate()
     world = World(trace.config.replicas, trace.config.mode)
@@ -369,26 +373,24 @@ def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
             result, _spawned = _execute_labeled(world, step.replica, step.op, step.label, labels, eid_labels)
             if strict and result != step.result:
                 raise ReplayMismatch(f"step {i} ({step.label}): recorded {step.result!r}, got {result!r}")
-            kept = GenStep(step.label, step.replica, step.op, result)
-            norm.append(kept)
-            if on_step is not None:
-                on_step(world, i, kept)
+            step = GenStep(step.label, step.replica, step.op, result)
         else:
             eid = labels.get(step.label)
-            ok = eid is not None
-            if ok:
+            if eid is None:
+                if strict:
+                    raise ReplayMismatch(f"step {i}: unknown event label {step.label!r}")
+                step = None
+            else:
                 try:
                     world.apply_message(step.replica, eid, step.chain_index)
                 except SimulatorError as e:
                     if strict:
                         raise ReplayMismatch(f"step {i}: {e}") from e
-                    ok = False
-            elif strict:
-                raise ReplayMismatch(f"step {i}: unknown event label {step.label!r}")
-            if ok:
-                norm.append(step)
-                if on_step is not None:
-                    on_step(world, i, step)
+                    step = None
+        if step is not None:
+            norm.append(step)
+        if on_step is not None:
+            on_step(world, i, step)
     return world, norm
 
 
@@ -458,7 +460,7 @@ def log_faults(world: World) -> list:
     for ev in world.events.values():
         eid = ev.id
         for msg in ev.chain:
-            for target, p in payload_items(msg):
+            for target, p in msg.items:
                 kind = type(p)
                 if kind is InRefAdd:
                     prev = added.setdefault(p.ref, eid)
@@ -518,11 +520,13 @@ class Checker:
 
     def __init__(self):
         self.violations: list = []
-        self.step = -1
+        # The index of the step being replayed, which labels what its
+        # applications find.
+        self.step = 0
         self.multivalued = False
 
     def on_apply(self, world: World, st, msg) -> None:
-        for target, p in payload_items(msg):
+        for target, p in msg.items:
             kind = type(p)
             if kind is OutRefSet:
                 out = st.objects[target].attrs[p.attr]
@@ -575,7 +579,7 @@ def _check_refinement(checker: Checker, world: World, step_index: int, step: Gen
         # mark-deleted payload, which records the ignore-set.
         r = step.replica
         ev = world.events[(r, world.states[r].applied_full[r])]
-        target, p = payload_items(ev.chain[-1])[-1]
+        target, p = ev.chain[-1].items[-1]
         probe = (target, p.last)
     if probe is not None and not stability.oracle_stable(world, probe[0], probe[1]):
         checker.violations.append(Violation(
@@ -590,12 +594,11 @@ def check_invariants(trace: Trace, strict: bool = True) -> InvariantReport:
     checker = Checker()
 
     def on_step(world, i, step):
-        checker.step = i
         if isinstance(step, GenStep):
             _check_refinement(checker, world, i, step)
+        checker.step = i + 1  # after the last step: quiescence and later
 
     world, norm = replay(trace, strict=strict, on_apply=checker.on_apply, on_step=on_step)
-    checker.step = len(trace.steps)  # quiescence and later
     world.quiesce()
 
     n = world.n

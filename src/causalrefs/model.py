@@ -85,25 +85,15 @@ class OpCall:
 
 
 @dataclass(frozen=True, slots=True)
-class AtomicChain:
-    """Whole effector chain fused into one message (atomic composition mode)."""
-
-    items: tuple  # tuple of (target_key_or_None, payload)
-
-
-@dataclass(frozen=True, slots=True)
 class EffectorMessage:
+    """One message of an event's effector chain: the (target key or None,
+    payload) pairs it carries, applied together in order. A pure-causal
+    chain carries one pair per message; an atomic chain is one message
+    carrying every pair."""
+
     event_id: EventId
     chain_index: int
-    target: Optional[str]
-    payload: Any
-
-
-def payload_items(msg: EffectorMessage) -> tuple:
-    """The (target, payload) pairs a message carries: an atomic chain's
-    items, or the message's own target and payload."""
-    payload = msg.payload
-    return payload.items if isinstance(payload, AtomicChain) else ((msg.target, payload),)
+    items: tuple
 
 
 @dataclass
@@ -118,13 +108,18 @@ class Event:
 class ReplicaState:
     """One replica's local view: objects, clocks, delivery bookkeeping.
 
+    Each origin's events apply here in sequence order, and an event's chain
+    in chain order, so at most one event per origin is partly applied: the
+    one after the fully applied prefix. ``applied_full`` and ``progress``
+    therefore determine the causal clock (``clock``).
+
     ``condemned`` holds targets for which this replica has emitted a
     positive stability report and therefore promised never to mint new
     references (outside the queried ignore-set); see the stability module.
     """
 
     __slots__ = (
-        "rid", "objects", "owned", "applied_full", "seen", "progress", "pending",
+        "rid", "objects", "owned", "applied_full", "progress", "pending",
         "queries", "condemned", "created_here", "ref_counts",
         "next_key", "next_ref", "next_dot",
     )
@@ -140,8 +135,6 @@ class ReplicaState:
         self.ref_counts: dict[str, int] = {}
         # applied_full[r] = number of events from r whose whole chain applied here.
         self.applied_full: dict[int, int] = {}
-        # seen[r] = highest sequence number from r with any effector applied here.
-        self.seen: dict[int, int] = {}
         # progress[eid] = applied chain prefix length, for partially applied events.
         self.progress: dict[EventId, int] = {}
         # pending[(eid, chain_index)] = undelivered message addressed to us.
@@ -165,7 +158,6 @@ class ReplicaState:
         self.owned = set()
         st.ref_counts = dict(self.ref_counts)
         st.applied_full = dict(self.applied_full)
-        st.seen = dict(self.seen)
         st.progress = dict(self.progress)
         st.pending = dict(self.pending)
         st.queries = {k: q.clone() for k, q in self.queries.items()}
@@ -187,6 +179,14 @@ class ReplicaState:
         else:
             rec.canon = None
         return rec
+
+    def clock(self) -> dict:
+        """The causal clock: per origin, the highest sequence number with
+        any effector applied here."""
+        clock = dict(self.applied_full)
+        for r, seq in self.progress:
+            clock[r] = seq
+        return clock
 
     def fully_applied(self, eid: EventId) -> bool:
         r, seq = eid
@@ -211,9 +211,6 @@ class World:
         # Optional hook called after every effector application; used by the
         # invariant checker. Signature: (world, state, message).
         self.on_apply: Optional[Callable] = None
-        # When set to a list, every generated event is appended to it; the
-        # harness uses this to label events spawned inside an operation.
-        self.spawn_log: Optional[list] = None
 
     def clone(self, replica: Optional[ReplicaId] = None) -> "World":
         """Copy of the world with its own event log (hooks are not carried over).
@@ -237,7 +234,6 @@ class World:
                     for st in self.states]
         w.events = dict(self.events)
         w.on_apply = None
-        w.spawn_log = None
         return w
 
     # -- generation ---------------------------------------------------------
@@ -257,15 +253,11 @@ class World:
 
         seq = st.applied_full.get(replica, 0) + 1
         eid = (replica, seq)
-        deps = {r: c for r, c in st.seen.items() if c > 0}
         if self.mode == ATOMIC:
-            chain = (EffectorMessage(eid, 0, None, AtomicChain(tuple(payloads))),)
+            chain = (EffectorMessage(eid, 0, tuple(payloads)),)
         else:
-            chain = tuple(
-                EffectorMessage(eid, i, target, p)
-                for i, (target, p) in enumerate(payloads)
-            )
-        ev = Event(eid, replica, op, deps, chain)
+            chain = tuple(EffectorMessage(eid, i, (item,)) for i, item in enumerate(payloads))
+        ev = Event(eid, replica, op, st.clock(), chain)
         self.events[eid] = ev
         for msg in chain:
             self._apply(st, msg)
@@ -273,22 +265,20 @@ class World:
             if other.rid != replica:
                 for msg in chain:
                     other.pending[(eid, msg.chain_index)] = msg
-        if self.spawn_log is not None:
-            self.spawn_log.append(ev)
         return ev
 
     def execute(self, replica: ReplicaId, op: OpCall):
-        """Run an operation, returning (result, spawned events).
+        """Run an operation and return its value: a read-only operation's
+        (invoke, may_delete), or "ok" for a generator operation.
 
-        Read-only operations (invoke, may_delete) return their value and may
-        still spawn events (may_delete registers a stability query on first
-        use). Generator operations return the event itself.
+        A read may still spawn events (may_delete registers a stability
+        query on first use); ``harness.run_op`` reports what a call spawned.
         """
         read = READS.get(op.kind)
         if read is not None:
             return read(self, replica, op.args)
-        ev = self.generate(replica, op)
-        return "ok", [ev]
+        self.generate(replica, op)
+        return "ok"
 
     # -- delivery -----------------------------------------------------------
 
@@ -325,21 +315,15 @@ class World:
         self._apply(st, msg)
 
     def _apply(self, st: ReplicaState, msg: EffectorMessage) -> None:
-        payload = msg.payload
-        if isinstance(payload, AtomicChain):
-            for target, p in payload.items:
-                APPLIERS[type(p)](self, st, target, p)
-        else:
-            APPLIERS[type(payload)](self, st, msg.target, payload)
+        for target, p in msg.items:
+            APPLIERS[type(p)](self, st, target, p)
         eid = msg.event_id
         k = st.progress.get(eid, 0)
         if k != msg.chain_index:
             raise SimulatorError(f"chain order violated at replica {st.rid}: {eid}[{msg.chain_index}] after prefix {k}")
-        r, seq = eid
-        if st.seen.get(r, 0) < seq:
-            st.seen[r] = seq
         if k + 1 == len(self.events[eid].chain):
             st.progress.pop(eid, None)
+            r, seq = eid
             prev = st.applied_full.get(r, 0)
             if prev + 1 != seq:
                 raise SimulatorError(f"out-of-order full application of {eid} at replica {st.rid}")

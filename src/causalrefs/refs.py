@@ -327,8 +327,7 @@ def gen_delete(world: World, st: ReplicaState, a: dict):
     # Stable precondition: the reference listing must stably sit inside the
     # ignore-set. Checking it may register a stability query (an event of
     # its own) before this event's chain is built.
-    ok, _spawned = stability.may_delete(world, st.rid, target, last)
-    if not ok:
+    if not stability.may_delete(world, st.rid, target, last):
         raise PreconditionFailure("NotUnreachable", target)
     chain = []
     for attr in sorted(rec.attrs):
@@ -349,4 +348,4 @@ def read_invoke(world: World, replica: int, a: dict):
         raise PreconditionFailure("MultiValued", f"{a['source']}.{a['attr']}")
     if not values or values[0].target is None:
         raise PreconditionFailure("NullReference", f"{a['source']}.{a['attr']}")
-    return values[0].target, []
+    return values[0].target

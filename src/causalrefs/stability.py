@@ -34,7 +34,6 @@ from .model import (
     World,
     vc_geq,
     vc_merge,
-    payload_items,
 )
 from .refs import InRefAdd, last_refs_arg
 
@@ -133,7 +132,7 @@ def apply_query_register(world: World, st: ReplicaState, target, p: QueryRegiste
 
 
 def gen_announce(world: World, st: ReplicaState, a: dict):
-    clock = tuple(sorted((r, c) for r, c in st.seen.items() if c > 0))
+    clock = tuple(sorted(st.clock().items()))
     reports = []
     for key in sorted(st.queries, key=_query_sort_key):
         target, last = key
@@ -172,25 +171,25 @@ def stably_subset(world: World, replica: int, target: str, last: frozenset) -> b
     return q is not None and q.stable
 
 
-def may_delete(world: World, replica: int, target: str, last: frozenset):
-    """Deletion check. Registers the stability query on first use (an event
-    of its own) and reports False until detection completes. Returns
-    (allowed, spawned events). Root objects are never deletable, so no
+def may_delete(world: World, replica: int, target: str, last: frozenset) -> bool:
+    """Deletion check: whether ``target`` may be deleted. Registers the
+    stability query on first use (an event of its own) and reports False
+    until detection completes. Root objects are never deletable, so no
     query is ever raised for them."""
     st = world.states[replica]
     rec = st.objects.get(target)
     if rec is None:
         raise PreconditionFailure("UnknownObject", target)
     if rec.root:
-        return False, []
+        return False
     key = (target, last)
     if key not in st.queries:
-        ev = world.generate(replica, OpCall(
+        world.generate(replica, OpCall(
             "register_query",
             {"target": target, "last": sorted(list(r) for r in last)},
         ))
-        return False, [ev]
-    return stably_subset(world, replica, target, last), []
+        return False
+    return stably_subset(world, replica, target, last)
 
 
 def read_may_delete(world: World, replica: int, a: dict):
@@ -229,7 +228,7 @@ def oracle_stable(world: World, target: str, last: frozenset) -> bool:
                         return False
     for st in world.states:
         for msg in st.pending.values():
-            for tgt, p in payload_items(msg):
+            for tgt, p in msg.items:
                 if tgt == target and type(p) is InRefAdd and p.ref not in last:
                     return False
     for st in world.states:

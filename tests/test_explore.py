@@ -11,7 +11,7 @@ from causalrefs.explore import (
     explore_catalog,
 )
 from causalrefs.harness import run_op
-from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, World, payload_items
+from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, World
 from causalrefs.ops import APPLIERS
 from causalrefs.refs import InRefAdd, InRefRemove, MarkDeleted, ObjectCreate, OutRefEntry, OutRefSet
 from causalrefs.stability import ClockAnnounce, QueryRegister, Report
@@ -84,7 +84,7 @@ def test_successor_keys_and_shared_states(monkeypatch, mode):
 
     def checked_generate(search, world, k, sig, replica, op, slot):
         full = world.clone()
-        expected = run_op(full, replica, op)
+        expected, _spawned = run_op(full, replica, op)
         key = search.outcome_key(world, sig, replica, slot)
         known = key in search.outcomes
         child = generate(search, world, k, sig, replica, op, slot)
@@ -104,7 +104,7 @@ def test_successor_keys_and_shared_states(monkeypatch, mode):
         derived = explore._state_key(k, *search.delivered(world, sig, replica, mkey))
         assert derived == explore._state_key(k, *search.signature(full))
         before = _snapshot(world)
-        targets = {t for t, _p in payload_items(world.states[replica].pending[mkey])}
+        targets = {t for t, _p in world.states[replica].pending[mkey].items}
         child = deliver(search, world, k, sig, replica, mkey)
         if child is not None:
             assert _snapshot(world) == before
@@ -258,7 +258,8 @@ def _walk(prog, mode, replicas=2):
             terminal.add(key)
         if k < len(prog):
             w2 = world.clone()
-            results.setdefault(k, set()).add(run_op(w2, *prog[k]))
+            result, _spawned = run_op(w2, *prog[k])
+            results.setdefault(k, set()).add(result)
             rec(w2, k + 1)
         for replica, mkey in deliveries:
             w2 = world.clone()

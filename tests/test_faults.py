@@ -22,7 +22,7 @@ import pytest
 
 from causalrefs import explore, ops, refs, stability
 from causalrefs.explore import basic_catalog, basic_setup, explore_catalog
-from causalrefs.harness import TraceConfig, check_invariants, execution_seed, random_execution
+from causalrefs.harness import Trace, TraceConfig, check_invariants, execution_seed, random_execution
 from causalrefs.model import ATOMIC, PURE_CAUSAL
 from causalrefs.scenarios import run_fig1
 
@@ -96,6 +96,21 @@ def test_campaign_catches_fault_within_budget(monkeypatch, fault):
     assert invariants <= campaign_violations(seed, PURE_CAUSAL)
 
 
+def test_violation_names_the_step_that_caused_it(monkeypatch):
+    # A violation found while step i applies is labeled i: replaying the
+    # steps before i must not find it, and replaying step i too must. So
+    # every prefix finds exactly the full trace's violations of its steps.
+    forward_creation(monkeypatch)
+    trace = random_execution(execution_seed(99, 0), TraceConfig())
+    full = check_invariants(trace).violations
+    culprits = {v.step for v in full if 0 <= v.step < len(trace.steps)}
+    assert culprits
+    for n in sorted(culprits | {i + 1 for i in culprits}):
+        prefix = check_invariants(Trace(trace.seed, trace.config, trace.steps[:n]))
+        found = [v for v in prefix.violations if 0 <= v.step < n]
+        assert found == [v for v in full if 0 <= v.step < n], n
+
+
 @pytest.mark.parametrize("fault", CHAIN_FAULTS)
 def test_explorer_catches_chain_fault_at_two_events(monkeypatch, fault):
     put_in, _seed, invariants = FAULTS[fault]
@@ -126,6 +141,6 @@ def test_explorer_checks_of_changed_replica_find_everything(monkeypatch, fault):
 
 @pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
 def test_fig1_catches_delete_without_detection(monkeypatch, mode):
-    monkeypatch.setattr(stability, "may_delete", lambda world, replica, target, last: (True, []))
+    monkeypatch.setattr(stability, "may_delete", lambda world, replica, target, last: True)
     found = [v for v in run_fig1(mode).violations if v.startswith("fig1:")]
     assert len(found) == 1, found

@@ -13,10 +13,11 @@ from causalrefs.harness import (
     random_execution,
     replay,
     run_campaign,
+    run_op,
     shrink,
 )
 from causalrefs.harness import ReplayMismatch
-from causalrefs.model import ATOMIC
+from causalrefs.model import ATOMIC, OpCall, World
 
 
 class TestConfig:
@@ -82,6 +83,50 @@ class TestRandomExecution:
                 1 for s in tr.steps
                 if isinstance(s, GenStep) and s.op.kind == "delete" and s.result == "ok")
         assert deletes > 0
+
+
+class TestRunOpSpawned:
+    """``run_op`` reports exactly the events added to the log during the
+    call, in generation order."""
+
+    @staticmethod
+    def unreferenced_x():
+        w = World(2)
+        w.generate(0, OpCall("create", {"key": "A", "root": True, "attrs": ["a"]}))
+        w.generate(0, OpCall("create", {"key": "X", "root": False, "attrs": ["x"]}))
+        w.quiesce()
+        return w
+
+    @staticmethod
+    def run(world, op):
+        before = len(world.events)
+        result, spawned = run_op(world, 0, op)
+        assert spawned == list(world.events.values())[before:]
+        return result, [(ev.id, ev.op.kind) for ev in spawned]
+
+    def test_failing_delete_reports_the_query_it_registered(self):
+        w = self.unreferenced_x()
+        result, spawned = self.run(w, OpCall("delete", {"target": "X", "last": []}))
+        assert result == "err:NotUnreachable"
+        assert spawned == [((0, 3), "register_query")]
+
+    def test_successful_delete(self):
+        w = self.unreferenced_x()
+        assert self.run(w, OpCall("may_delete", {"target": "X", "last": []}))[0] == "false"
+        w.quiesce()
+        for _ in range(2):
+            for r in range(w.n):
+                w.generate(r, OpCall("announce"))
+            w.quiesce()
+        result, spawned = self.run(w, OpCall("delete", {"target": "X", "last": []}))
+        assert result == "ok"
+        assert spawned == [((0, 6), "delete")]
+
+    def test_first_may_delete_registers_its_query(self):
+        w = self.unreferenced_x()
+        op = OpCall("may_delete", {"target": "X", "last": []})
+        assert self.run(w, op) == ("false", [((0, 3), "register_query")])
+        assert self.run(w, op) == ("false", [])
 
 
 class TestReplay:

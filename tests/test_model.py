@@ -1,8 +1,11 @@
 import pytest
 
+from causalrefs import explore
+from causalrefs.explore import basic_catalog, basic_setup, explore_catalog
+from causalrefs.harness import TraceConfig, execution_seed, random_execution, replay
 from causalrefs.model import (
     ATOMIC,
-    AtomicChain,
+    MODES,
     DuplicateDelivery,
     OpCall,
     PreconditionFailure,
@@ -63,11 +66,12 @@ class TestGeneration:
         w.generate(0, OpCall("init", {"source": "A", "attr": "a", "target": "X"}))
         w.generate(0, OpCall("init", {"source": "B", "attr": "b", "target": "Y"}))
         ev = w.generate(0, OpCall("assign", {"dst": "B", "dst_attr": "b", "src": "A", "src_attr": "a"}))
-        kinds = [type(m.payload) for m in ev.chain]
-        assert kinds == [InRefAdd, OutRefSet, InRefRemove]
-        assert ev.chain[0].target == "X"
-        assert ev.chain[1].target == "B"
-        assert ev.chain[2].target == "Y"
+        assert all(len(m.items) == 1 for m in ev.chain)
+        (add,), (write,), (removal,) = [m.items for m in ev.chain]
+        assert [type(p) for _t, p in (add, write, removal)] == [InRefAdd, OutRefSet, InRefRemove]
+        assert add[0] == "X"
+        assert write[0] == "B"
+        assert removal[0] == "Y"
 
     def test_invoke_multivalued_fails(self):
         from causalrefs.scenarios import fig2_world
@@ -132,8 +136,7 @@ class TestAtomicMode:
         create(w, 0, "X")
         ev = w.generate(0, OpCall("init", {"source": "A", "attr": "a", "target": "X"}))
         assert len(ev.chain) == 1
-        assert isinstance(ev.chain[0].payload, AtomicChain)
-        assert len(ev.chain[0].payload.items) == 2
+        assert [type(p) for _t, p in ev.chain[0].items] == [InRefAdd, OutRefSet]
 
     def test_same_final_state_as_pure_causal(self):
         def program(w):
@@ -164,3 +167,53 @@ class TestDeterminism:
             return world_fingerprint(w)
 
         assert build() == build()
+
+
+def assert_clock_derived(world, st):
+    """At most one event per origin is partly applied at ``st``, the one
+    after the origin's fully applied prefix, and ``st.clock()`` equals a
+    recount over the event log: per origin, the highest sequence number
+    with any effector applied, i.e. originated here or with its first
+    message no longer pending here."""
+    origins = [r for r, _seq in st.progress]
+    assert len(origins) == len(set(origins)), st.progress
+    for r, seq in st.progress:
+        assert seq == st.applied_full.get(r, 0) + 1, (r, seq)
+    recount: dict = {}
+    for r, seq in world.events:
+        if r == st.rid or ((r, seq), 0) not in st.pending:
+            recount[r] = max(recount.get(r, 0), seq)
+    assert st.clock() == recount
+
+
+class TestClock:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("replicas,events,executions", [(3, 20, 20), (5, 320, 2)])
+    def test_derived_after_every_application(self, mode, replicas, events, executions):
+        applications = 0
+
+        def on_apply(world, st, msg):
+            nonlocal applications
+            applications += 1
+            assert_clock_derived(world, st)
+
+        for i in range(executions):
+            trace = random_execution(execution_seed(3, i), TraceConfig(replicas, events, mode))
+            replay(trace, on_apply=on_apply)
+        assert applications
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_derived_at_every_catalog_state(self, monkeypatch, mode):
+        visit = explore._Search.visit
+        states = 0
+
+        def checked_visit(search, world, replica, stable_seen):
+            nonlocal states
+            states += 1
+            for st in world.states:
+                assert_clock_derived(world, st)
+            return visit(search, world, replica, stable_seen)
+
+        monkeypatch.setattr(explore._Search, "visit", checked_visit)
+        rep = explore_catalog(basic_catalog(), 2, replicas=2, mode=mode, setup=basic_setup)
+        assert states == rep.states

@@ -68,7 +68,7 @@ class TestInit:
         w.quiesce()
         # Chain carries the listing removal for the overwritten X entry.
         from causalrefs.refs import InRefRemove
-        assert any(type(m.payload) is InRefRemove and m.target == "X" for m in ev.chain)
+        assert any(type(p) is InRefRemove and t == "X" for m in ev.chain for t, p in m.items)
         for st in w.states:
             assert st.objects["X"].inref.current() == set()
             assert len(st.objects["Y"].inref.current()) == 1
@@ -154,8 +154,9 @@ class TestAssign:
         refs = set()
         for ev in (e1, e2):
             for m in ev.chain:
-                if hasattr(m.payload, "ref"):
-                    refs.add(m.payload.ref)
+                for _t, p in m.items:
+                    if hasattr(p, "ref"):
+                        refs.add(p.ref)
         assert len(refs) == 2
 
 
@@ -204,7 +205,7 @@ class TestAssignNull:
 class TestInvoke:
     def test_single_valued(self):
         w = figure1_initial()
-        value, _ = w.execute(0, OpCall("invoke", {"source": "A", "attr": "a"}))
+        value = w.execute(0, OpCall("invoke", {"source": "A", "attr": "a"}))
         assert value == "X"
 
     def test_null_fails(self):
@@ -277,7 +278,7 @@ class TestDelete:
         init(w, 0, "X", "x", "X")       # self-cycle
         w.generate(0, OpCall("assign_null", {"source": "A", "attr": "a"}))
         self._detect(w, "X", "auto")    # ignore-set = the self-cycle ref
-        ok, _ = w.execute(0, OpCall("may_delete", {"target": "X", "last": "auto"}))
+        ok = w.execute(0, OpCall("may_delete", {"target": "X", "last": "auto"}))
         assert ok is True
         w.generate(0, OpCall("delete", {"target": "X", "last": "auto"}))
         w.quiesce()
@@ -296,5 +297,5 @@ class TestDelete:
         self._detect(w, "X", [])
         w.generate(0, OpCall("delete", {"target": "X", "last": []}))
         self._detect(w, "Y", [])
-        ok, _ = w.execute(0, OpCall("may_delete", {"target": "Y", "last": []}))
+        ok = w.execute(0, OpCall("may_delete", {"target": "Y", "last": []}))
         assert ok is True

@@ -1,16 +1,14 @@
 import pytest
 
-from causalrefs.harness import TraceConfig, execution_seed, random_execution, replay
+from causalrefs.harness import TraceConfig, execution_seed, random_execution, replay, run_op
 from causalrefs.model import (
     ATOMIC,
     PURE_CAUSAL,
-    AtomicChain,
     EffectorMessage,
     OpCall,
     PreconditionFailure,
     SimulatorError,
     World,
-    payload_items,
 )
 from causalrefs.refs import InRefAdd, OutRefEntry
 from causalrefs.stability import (
@@ -104,8 +102,8 @@ class TestDetection:
 
     def test_root_never_deletable_and_no_query_raised(self):
         w = unreferenced_world()
-        ok, spawned = w.execute(0, OpCall("may_delete", {"target": "A", "last": []}))
-        assert ok is False and spawned == []
+        result, spawned = run_op(w, 0, OpCall("may_delete", {"target": "A", "last": []}))
+        assert result == "false" and spawned == []
         assert not w.states[0].queries
 
     def test_in_flight_reference_blocks_detection(self):
@@ -183,8 +181,9 @@ class TestOracle:
         # state shows that the buffered-message scan still runs.
         w = self.stable_x()
         add = InRefAdd("A", (0, 99))
-        msg = (EffectorMessage((0, 99), 0, None, AtomicChain((("X", add),))) if atomic
-               else EffectorMessage((0, 99), 0, "X", add))
+        # An atomic message carries its whole chain; the add is not first.
+        items = (("A", InRefAdd("B", (0, 98))), ("X", add)) if atomic else (("X", add),)
+        msg = EffectorMessage((0, 99), 0, items)
         w.states[1].pending[((0, 99), 0)] = msg
         assert not oracle_stable(w, "X", frozenset())
         assert oracle_stable(w, "X", frozenset({(0, 99)}))
@@ -245,7 +244,7 @@ def full_scan_oracle(world, target, last):
     for st in world.states:
         for key in sorted(st.pending):
             msg = st.pending[key]
-            for tgt, p in payload_items(msg):
+            for tgt, p in msg.items:
                 if isinstance(p, InRefAdd) and tgt == target and p.ref not in last:
                     return False
     for st in world.states:
