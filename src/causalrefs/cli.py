@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / no violations, 1 invariant or assertion violation,
-2 configuration, bound, range, or parse error.
+2 configuration, bound, range or parse error, or an output path that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -55,13 +56,28 @@ def cmd_run(seed, executions, events, replicas, mode, out):
         click.echo(f"violations[{inv}]: {summary['violations'][inv]}")
     click.echo(f"total violating traces: {summary['total_violating']}")
     if out and summary["failures"]:
-        outdir = pathlib.Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for index, shrunk, _report in summary["failures"]:
-            path = outdir / f"fail-{index}.trace"
-            path.write_text(tracefile.dumps(shrunk))
-            click.echo(f"wrote {path}")
+        _write_files(out, [(f"fail-{index}.trace", tracefile.dumps(shrunk))
+                           for index, shrunk, _report in summary["failures"]])
     sys.exit(1 if summary["total_violating"] else 0)
+
+
+def _cannot_write(e: OSError):
+    click.echo(f"cannot write {e.filename}: {e.strerror}", err=True)
+    sys.exit(2)
+
+
+def _write_files(outdir, files) -> None:
+    """Write each (name, text) of ``files`` into directory ``outdir``, made
+    if missing. A path that cannot be written ends the command with exit 2."""
+    outdir = pathlib.Path(outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            path = outdir / name
+            path.write_text(text)
+            click.echo(f"wrote {path}")
+    except OSError as e:
+        _cannot_write(e)
 
 
 def _load_trace(path) -> Trace:
@@ -121,12 +137,8 @@ def cmd_explore(events, catalog, replicas, mode):
 
 
 def _write_dots(world, outdir) -> None:
-    outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for st in world.states:
-        path = outdir / f"replica-{st.rid}.dot"
-        path.write_text(dot.snapshot_dot(st, name=f"replica-{st.rid}"))
-        click.echo(f"wrote {path}")
+    _write_files(outdir, [(f"replica-{st.rid}.dot", dot.snapshot_dot(st, name=f"replica-{st.rid}"))
+                          for st in world.states])
 
 
 @main.command("scenario")
@@ -191,7 +203,10 @@ def cmd_export_dot(trace_file, step, replica, out):
         sys.exit(2)
     doc = dot.snapshot_dot(world.states[replica], name=f"step-{step}-replica-{replica}")
     if out:
-        pathlib.Path(out).write_text(doc)
+        try:
+            pathlib.Path(out).write_text(doc)
+        except OSError as e:
+            _cannot_write(e)
         click.echo(f"wrote {out}")
     else:
         click.echo(doc, nl=False)

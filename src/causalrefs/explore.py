@@ -2,11 +2,11 @@
 the randomized harness.
 
 Given a short program (a fixed sequence of operations, each pinned to a
-replica), the explorer enumerates every causally-valid interleaving of
-generation and effector delivery, checking safety invariants in every
-reachable state and convergence properties in every terminal state, with
-the invariant clauses the harness defines (``harness.entry_fault`` and the
-functions after it).
+replica), the explorer covers every causally-valid interleaving of
+generation and effector delivery, up to the order of steps that commute
+(below), checking safety invariants in every state it visits and
+convergence properties in every terminal state, with the invariant clauses
+the harness defines (``harness.entry_fault`` and the functions after it).
 Reached states are deduplicated by a sound structural key: the program
 prefix executed, the exact effector chains generated so far, and each
 replica's delivery progress — everything else is a deterministic function
@@ -25,7 +25,21 @@ explorer never mutates a world after handing it on.
 ``exhaustive_explore`` runs one program; ``explore_catalog`` branches over
 a whole operation catalog at every generation point, covering every program
 up to a length bound in one shared search. Both are the one search
-``_run``, offered different generations.
+``_Search.run``, offered different generations.
+
+The search follows a persistent set of steps (Godefroid 1996), not every
+enabled one. A delivery at replica r changes only ``states[r]`` and a
+generator reads only its own replica, so steps at different replicas
+commute. Where every generation choice is at one replica r (every step of
+``exhaustive_explore``), the search follows the generation and only the
+deliveries at r; once every generation has run, only the deliveries at the
+lowest-numbered replica that has one. Elsewhere (the catalog before its
+bound) it follows every enabled step. This reaches every terminal state,
+every view a replica can have when one of its generations runs, and every
+record state of each replica, so the terminal keys, the results, the
+event-log checks and the record checks find what the full search finds.
+The refinement and persistence checks (``_check_stability``) read every
+replica at once, and they run only at the states visited.
 """
 
 from __future__ import annotations
@@ -138,13 +152,10 @@ def _check_terminal(world: World) -> list:
     return out
 
 
-def _delivery_choices(world: World) -> list:
-    out = []
-    for st in world.states:
-        for mkey in sorted(st.pending):
-            if world.deliverable(st.rid, st.pending[mkey]):
-                out.append((st.rid, mkey))
-    return out
+def _enabled(world: World, st) -> tuple:
+    """The keys of ``st``'s pending messages that are deliverable now, in
+    key order."""
+    return tuple(mkey for mkey in sorted(st.pending) if world.deliverable(st.rid, st.pending[mkey]))
 
 
 class _Search:
@@ -152,10 +163,12 @@ class _Search:
     report, the keys already seen, the chain interning table and the
     generation outcome table.
 
-    A state travels down the recursion as its world plus its signature
+    A state travels down the recursion as its world, its signature
     ``(events, delivery)``, the parts of its key besides the program
-    position. A world handed on is never mutated again, so a delivery
-    successor copies only the replica state it changes (``World.clone``).
+    position, and its enabled deliveries per replica. A world handed on is
+    never mutated again, so a delivery successor copies only the replica
+    state it changes (``World.clone``) and recomputes only that replica's
+    enabled deliveries.
     For the same reason a record's cached canonical text stays valid in
     every world that shares the record: a successor that changes it
     changes a copy, which starts without text. So each record's text is
@@ -207,16 +220,23 @@ class _Search:
         self.seen.add(key)
         return True
 
-    def visit(self, world: World, replica, stable_seen: frozenset) -> tuple:
+    def visit(self, world: World, replica, stable_seen: frozenset, enabled) -> tuple:
         """Count and check a newly reached state, which differs from the
         state it was reached from only at ``replica`` (None at the root): the
-        other replica states were checked there. Returns its enabled
-        deliveries and the updated set of oracle-stable queries."""
+        other replica states were checked there. ``enabled`` is the parent's
+        enabled deliveries per replica when the step was a delivery, which
+        leaves every other replica's unchanged, and None otherwise. Returns
+        the state's enabled deliveries per replica and the updated set of
+        oracle-stable queries."""
         viols = _check_state(world, replica)
         stab, stable_seen = _check_stability(world, stable_seen)
         self.report.states += 1
         self.report.violations.extend(viols + stab)
-        return _delivery_choices(world), stable_seen
+        if enabled is None:
+            enabled = tuple(_enabled(world, st) for st in world.states)
+        else:
+            enabled = enabled[:replica] + (_enabled(world, world.states[replica]),) + enabled[replica + 1:]
+        return enabled, stable_seen
 
     def terminal(self, world: World) -> None:
         self.report.terminals += 1
@@ -314,39 +334,57 @@ class _Search:
         w2.apply_message(replica, *mkey)
         return w2, sig
 
+    def run(self, steps: list, ends_anywhere: bool) -> ExploreReport:
+        """The depth-first search. ``steps[k]`` lists the (replica, slot, op)
+        choices for the ``k``-th generation. A quiescent state is terminal
+        once every generation has run, or at any position when
+        ``ends_anywhere``."""
+        self.steps = steps
+        self.ends_anywhere = ends_anywhere
+        # The replica of every choice at each position, or None where the
+        # choices span replicas.
+        self.step_replica = [choices[0][0] if len({c[0] for c in choices}) == 1 else None
+                             for choices in steps]
+        self._descend(self.root, self.root_sig, None, 0, frozenset(), None)
+        return self.report
 
-def _run(search: _Search, steps: list, ends_anywhere: bool) -> ExploreReport:
-    """The depth-first search. ``steps[k]`` lists the (replica, slot, op)
-    choices for the ``k``-th generation. A quiescent state is terminal once
-    every generation has run, or at any position when ``ends_anywhere``."""
-
-    def rec(world: World, sig: tuple, changed, k: int, stable_seen: frozenset):
-        deliveries, stable_seen = search.visit(world, changed, stable_seen)
-        if not deliveries and (ends_anywhere or k == len(steps)):
-            search.terminal(world)
-        if k < len(steps):
-            for replica, slot, op in steps[k]:
-                child = search.generate(world, k, sig, replica, op, slot)
+    # A method rather than a nested function, which would refer to itself
+    # through its closure cell and keep the whole search alive until the
+    # next full garbage collection.
+    def _descend(self, world: World, sig: tuple, changed, k: int, stable_seen: frozenset, enabled):
+        enabled, stable_seen = self.visit(world, changed, stable_seen, enabled)
+        if not any(enabled) and (self.ends_anywhere or k == len(self.steps)):
+            self.terminal(world)
+        if k < len(self.steps):
+            for replica, slot, op in self.steps[k]:
+                child = self.generate(world, k, sig, replica, op, slot)
                 if child is not None:
-                    rec(*child, replica, k + 1, stable_seen)
-        for replica, mkey in deliveries:
-            child = search.deliver(world, k, sig, replica, mkey)
-            if child is not None:
-                rec(*child, replica, k, stable_seen)
-
-    rec(search.root, search.root_sig, None, 0, frozenset())
-    return search.report
+                    self._descend(*child, replica, k + 1, stable_seen, None)
+            # Deliveries at other replicas than the generation's commute
+            # with it, so they wait (module docstring).
+            at = self.step_replica[k]
+            replicas = range(world.n) if at is None else (at,)
+        else:
+            # Only deliveries are left, and those at different replicas
+            # commute: one replica's suffice.
+            replicas = [r for r in range(world.n) if enabled[r]][:1]
+        for replica in replicas:
+            for mkey in enabled[replica]:
+                child = self.deliver(world, k, sig, replica, mkey)
+                if child is not None:
+                    self._descend(*child, replica, k, stable_seen, enabled)
 
 
 def exhaustive_explore(program, replicas: int = 2, mode: str = PURE_CAUSAL,
                        setup=None) -> ExploreReport:
-    """Explore every interleaving of ``program`` (a list of (replica, OpCall)).
+    """Explore every interleaving of ``program`` (a list of (replica, OpCall)),
+    up to the order of steps that commute.
 
     ``setup`` optionally prepares the world (its events are quiesced and not
     explored).
     """
     steps = [[(replica, k, op)] for k, (replica, op) in enumerate(program)]
-    return _run(_Search(replicas, mode, setup), steps, ends_anywhere=False)
+    return _Search(replicas, mode, setup).run(steps, ends_anywhere=False)
 
 
 def explore_catalog(catalog, max_events: int, replicas: int = 2,
@@ -362,7 +400,7 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
         raise ConfigInvalid("the event bound must not be negative")
     search = _Search(replicas, mode, setup)
     choices = [(replica, slot, op) for replica in range(replicas) for slot, op in enumerate(catalog)]
-    return _run(search, [choices] * max_events, ends_anywhere=True)
+    return search.run([choices] * max_events, ends_anywhere=True)
 
 
 # ---------------------------------------------------------------------------

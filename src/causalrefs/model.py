@@ -213,15 +213,15 @@ class World:
         self.on_apply: Optional[Callable] = None
 
     def clone(self, replica: Optional[ReplicaId] = None) -> "World":
-        """Copy of the world with its own event log (hooks are not carried over).
+        """Copy of the world (hooks are not carried over).
 
-        With no ``replica`` every replica state is copied and the copy is
-        independent. With ``replica`` only that state is copied and the
-        others are shared with this world, so neither world may change a
-        shared state afterwards: the copy is only for a step that touches
-        ``states[replica]`` alone, such as a delivery there. Generation
-        needs a full copy, because it enqueues into every other replica's
-        ``pending``.
+        With no ``replica`` every replica state and the event log are
+        copied and the copy is independent. With ``replica`` only that state
+        is copied, and the other states and the event log are shared with
+        this world, so neither world may change a shared part afterwards:
+        the copy is only for a step that touches ``states[replica]`` alone,
+        such as a delivery there. Generation needs a full copy, because it
+        enqueues into every other replica's ``pending`` and logs its event.
 
         A copied state shares its object records with the original until
         either side changes one (``ReplicaState.clone``), so the cost of a
@@ -232,7 +232,7 @@ class World:
         w.mode = self.mode
         w.states = [st.clone() if replica is None or st.rid == replica else st
                     for st in self.states]
-        w.events = dict(self.events)
+        w.events = dict(self.events) if replica is None else self.events
         w.on_apply = None
         return w
 

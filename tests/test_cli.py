@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from causalrefs import explore, harness, tracefile
+from causalrefs import cli, explore, harness, tracefile
 from causalrefs.cli import main
 from causalrefs.dot import snapshot_dot
 from causalrefs.harness import MAX_EVENTS, MAX_REPLICAS, TraceConfig, random_execution, replay
@@ -67,6 +67,21 @@ class TestRun:
         a = invoke("run", "--executions", "25", "--seed", "11")
         b = invoke("run", "--executions", "25", "--seed", "11")
         assert a.output == b.output
+
+    def test_unwritable_out_exit_two(self, monkeypatch, tmp_path):
+        # A campaign with one failure, so ``--out`` is written to.
+        trace = random_execution(5, TraceConfig())
+        summary = {"executions": 1, "multivalued_fraction": 0.0, "violations": {"I1": 1},
+                   "total_violating": 1, "failures": [(0, trace, None)]}
+        monkeypatch.setattr(cli, "run_campaign", lambda seed, executions, config: summary)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        res = invoke("run", "--executions", "1", "--out", str(blocker / "sub"))
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.splitlines()[-1].startswith("cannot write")
+        res = invoke("run", "--executions", "1", "--out", str(tmp_path / "d"))
+        assert res.exit_code == 1 and (tmp_path / "d" / "fail-0.trace").exists()
 
 
 class TestCheck:
@@ -176,6 +191,12 @@ class TestScenario:
         res = invoke("scenario", "fig3")
         assert res.exit_code == 2
 
+    def test_dot_dir_under_file_exit_two(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        res = invoke("scenario", "fig2", "--dot", str(blocker / "sub"))
+        assert_one_line_exit_two(res, "cannot write")
+
 
 class TestExportDot:
     def test_snapshot_edges_match_state(self, tmp_path):
@@ -194,6 +215,16 @@ class TestExportDot:
         path.write_text(tracefile.dumps(tr))
         assert invoke("export-dot", str(path), "--step", "100000", "--replica", "0").exit_code == 2
         assert invoke("export-dot", str(path), "--step", "0", "--replica", "7").exit_code == 2
+
+    def test_missing_out_dir_exit_two(self, tmp_path):
+        tr = random_execution(6, TraceConfig())
+        path = tmp_path / "t.trace"
+        path.write_text(tracefile.dumps(tr))
+        out = tmp_path / "missing" / "x.dot"
+        res = invoke("export-dot", str(path), "--step", "0", "--replica", "0", "--out", str(out))
+        assert_one_line_exit_two(res, "cannot write")
+        res = invoke("export-dot", str(path), "--step", "0", "--replica", "0", "--out", str(tmp_path / "x.dot"))
+        assert res.exit_code == 0 and (tmp_path / "x.dot").read_text().startswith("digraph")
 
     def test_not_utf8_exit_two(self, monkeypatch, tmp_path):
         path = tmp_path / "bad.trace"

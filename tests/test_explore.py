@@ -1,7 +1,12 @@
+import gc
+import hashlib
+import weakref
+
 import pytest
 
 from causalrefs import explore
 from canon_reference import world_fingerprint
+from causalrefs.canon import canon_objects
 from causalrefs.explore import (
     BoundExceeded,
     _objects_key,
@@ -17,10 +22,24 @@ from causalrefs.refs import InRefAdd, InRefRemove, MarkDeleted, ObjectCreate, Ou
 from causalrefs.stability import ClockAnnounce, QueryRegister, Report
 
 # (states, terminals) of the basic catalog per event bound and mode; a key
-# that merged different states or split equal ones would change them.
+# that merged different states or split equal ones would change them. The
+# full search, which follows every delivery order, reaches 7,735 and 3,704
+# states at 3 events and 100,527 and 41,955 at 4, with the same terminals.
 CATALOG_COUNTS = {
-    3: {PURE_CAUSAL: (7735, 971), ATOMIC: (3704, 961)},
-    4: {PURE_CAUSAL: (100527, 9213), ATOMIC: (41955, 8951)},
+    3: {PURE_CAUSAL: (6797, 971), ATOMIC: (3468, 961)},
+    4: {PURE_CAUSAL: (87435, 9213), ATOMIC: (38738, 8951)},
+}
+
+# What the full search finds on the catalog at 4 events, one bound past the
+# golden digests' 3, in either mode: the sha256 of the sorted terminal keys,
+# one per line, and the results of each program position.
+CATALOG_4_TERMINAL_KEYS = "c3232b38edc2b11ef37b0af5ff604cc9950b93b9ee2ca429b3e193f1a2275ce3"
+CATALOG_4_RESULTS = {
+    0: {"err:NotUnreachable", "ok"},
+    1: {"err:NotUnreachable", "err:NullSource", "err:UnreachableTarget", "ok"},
+    2: {"err:MultiValued", "err:NotUnreachable", "err:NullSource", "err:UnreachableTarget", "ok"},
+    3: {"err:MultiValued", "err:NotUnreachable", "err:NullSource", "err:TargetCondemned",
+        "err:UnreachableTarget", "ok"},
 }
 
 
@@ -52,10 +71,13 @@ def test_two_concurrent_assigns_all_interleavings():
 
 
 def _check_catalog(events):
+    reports = []
     for mode, counts in CATALOG_COUNTS[events].items():
         rep = explore_catalog(basic_catalog(), events, replicas=2, mode=mode, setup=basic_setup)
         assert rep.ok
         assert (rep.states, rep.terminals) == counts
+        reports.append(rep)
+    return reports
 
 
 def test_catalog_programs_up_to_three_events_clean():
@@ -64,7 +86,34 @@ def test_catalog_programs_up_to_three_events_clean():
 
 @pytest.mark.slow
 def test_catalog_programs_up_to_four_events_clean():
-    _check_catalog(4)
+    for rep in _check_catalog(4):
+        terminal = "\n".join(sorted(rep.terminal_keys)).encode()
+        assert hashlib.sha256(terminal).hexdigest() == CATALOG_4_TERMINAL_KEYS
+        assert rep.results == CATALOG_4_RESULTS
+
+
+def test_search_freed_on_return(monkeypatch):
+    # Reference counting alone must free a search once its exploration
+    # returns: nothing it holds may refer back to it.
+    searches = []
+    init = explore._Search.__init__
+
+    def tracked(search, *args):
+        init(search, *args)
+        searches.append(weakref.ref(search))
+
+    monkeypatch.setattr(explore._Search, "__init__", tracked)
+    prog = [(0, OpCall("create", {"key": "Z", "root": True, "attrs": ["z"]}))]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        explore_catalog(basic_catalog(), 2, replicas=2, setup=basic_setup)
+        exhaustive_explore(prog, replicas=2)
+        assert len(searches) == 2
+        assert [ref() for ref in searches] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _snapshot(world):
@@ -75,9 +124,10 @@ def _snapshot(world):
 def test_successor_keys_and_shared_states(monkeypatch, mode):
     # Each successor's derived key must equal the key computed from scratch
     # on a fully copied world that took the same step, and a delivery
-    # successor, which shares the unchanged replica states and object
-    # records, must leave its parent as it was. At every generation
-    # attempt, built or not, the outcome table's prediction is checked.
+    # successor, which shares the unchanged replica states, the object
+    # records and the event log, must leave its parent as it was. At every
+    # generation attempt, built or not, the outcome table's prediction is
+    # checked.
     generate, deliver = explore._Search.generate, explore._Search.deliver
     parents = []
     table = {"hit_seen": 0, "hit_fresh": 0}
@@ -111,6 +161,7 @@ def test_successor_keys_and_shared_states(monkeypatch, mode):
             parents.append((world, before))
             for r, st in enumerate(child[0].states):
                 assert (st is world.states[r]) == (r != replica)
+            assert child[0].events is world.events
             old = world.states[replica].objects
             for key, rec in child[0].states[replica].objects.items():
                 assert (rec is old.get(key)) == (key not in targets), key
@@ -203,55 +254,82 @@ def test_clone_independent_for_every_payload_kind(partial, change_copy):
         (1, OpCall("delete", {"target": "Z", "last": []})),
     ],
 ])
-def test_atomic_mode_reachability_refinement(prog):
+def test_atomic_mode_reachability_refinement(monkeypatch, prog):
     # Every object state reachable under atomic composition must also be
     # reachable under pure-causal composition, and the explorer must end in
-    # exactly the terminal states, and record exactly the results, that the
-    # walk below finds.
+    # exactly the terminal states, record exactly the results, and visit
+    # exactly the record states of each replica that the walk below finds.
     walked = {}
     for mode in (PURE_CAUSAL, ATOMIC):
-        reachable, terminal, results = _walk(prog, mode)
-        rep = exhaustive_explore(prog, replicas=2, setup=basic_setup, mode=mode)
+        reachable, terminal, results, records = _walk(prog, mode)
+        rep, visited = _explore_records(monkeypatch, prog, mode)
         assert rep.ok
         assert terminal and terminal == rep.terminal_keys
         assert results == rep.results
+        assert records == visited
         walked[mode] = reachable, terminal
     (pure, pure_terminal), (atomic, atomic_terminal) = walked[PURE_CAUSAL], walked[ATOMIC]
     assert atomic <= pure
     assert atomic_terminal == pure_terminal
 
 
-def test_walk_three_replicas_atomic():
+def test_walk_three_replicas_atomic(monkeypatch):
     # Three concurrent writers to one register: which writes survive
     # depends on the order of deliveries at different replicas, so an
-    # explorer that skipped any enabled delivery would miss terminal states
-    # (following only the first one reaches 4 of the 5). Pure-causal mode
-    # is left out: without deduplication its walk passes 200,000 states.
+    # explorer that dropped a delivery order it needs would miss terminal
+    # states (following only the first enabled delivery reaches 4 of the
+    # 5). Pure-causal mode is left out: without deduplication its walk
+    # passes 200,000 states.
     prog = [
         (0, OpCall("init", {"source": "A", "attr": "a", "target": "X"})),
         (1, OpCall("assign_null", {"source": "A", "attr": "a"})),
         (2, OpCall("init", {"source": "A", "attr": "a", "target": "X"})),
     ]
-    _reachable, terminal, results = _walk(prog, ATOMIC, replicas=3)
-    rep = exhaustive_explore(prog, replicas=3, setup=basic_setup, mode=ATOMIC)
+    _reachable, terminal, results, records = _walk(prog, ATOMIC, replicas=3)
+    rep, visited = _explore_records(monkeypatch, prog, ATOMIC, replicas=3)
     assert rep.ok
     assert len(terminal) == 5 and terminal == rep.terminal_keys
     assert results == rep.results
+    assert records == visited
+
+
+def _record_states(world):
+    """Each replica's object records as (replica, canonical text) pairs."""
+    return {(st.rid, canon_objects(st)) for st in world.states}
+
+
+def _explore_records(monkeypatch, prog, mode, replicas=2):
+    """The explorer's report on ``prog`` after ``basic_setup``, and the
+    record states of each replica over every state it visits."""
+    visited = set()
+    visit = explore._Search.visit
+
+    def collecting(search, world, replica, stable_seen, enabled):
+        visited.update(_record_states(world))
+        return visit(search, world, replica, stable_seen, enabled)
+
+    with monkeypatch.context() as m:
+        m.setattr(explore._Search, "visit", collecting)
+        rep = exhaustive_explore(prog, replicas=replicas, setup=basic_setup, mode=mode)
+    return rep, visited
 
 
 def _walk(prog, mode, replicas=2):
     """Object keys of every reachable and every terminal state of ``prog``
-    after ``basic_setup``, and the results of each program index. Each
-    interleaving is followed to its end with no deduplication, so nothing
-    here rests on the explorer's state key or its outcome table."""
+    after ``basic_setup``, the results of each program index, and the
+    record states of each replica over every reachable state. Each
+    interleaving is followed to its end with no deduplication and no
+    reduction of delivery orders, so nothing here rests on the explorer's
+    state key, its outcome table or the delivery orders it skips."""
     root = World(replicas, mode)
     basic_setup(root)
     root.quiesce()
-    reachable, terminal, results = set(), set(), {}
+    reachable, terminal, results, records = set(), set(), {}, set()
 
     def rec(world, k):
         key = _objects_key(world)
         reachable.add(key)
+        records.update(_record_states(world))
         deliveries = [(st.rid, mkey) for st in world.states for mkey in sorted(st.pending)
                       if world.deliverable(st.rid, st.pending[mkey])]
         if k == len(prog) and not deliveries:
@@ -267,7 +345,7 @@ def _walk(prog, mode, replicas=2):
             rec(w2, k)
 
     rec(root, 0)
-    return reachable, terminal, results
+    return reachable, terminal, results, records
 
 
 def test_fig2_program_every_terminal_state_has_three_entries():

@@ -70,6 +70,38 @@ FAULTS = {
 }
 CHAIN_FAULTS = ["forward_creation", "backward_retirement"]
 
+# The distinct findings of the full search (every delivery order followed)
+# on the catalog at 2 events, pure-causal, under each chain fault. The
+# explorer's reduction of delivery orders must lose none of them.
+CHAIN_FAULT_FINDINGS = {
+    "forward_creation": {
+        "I1 at replica 0: (A,(1, 0)) missing from listing of X",
+        "I1 at replica 0: (A,(1, 1)) missing from listing of X",
+        "I1 at replica 0: (B,(1, 0)) missing from listing of X",
+        "I1 at replica 0: (B,(1, 1)) missing from listing of X",
+        "I1 at replica 1: (A,(0, 1)) missing from listing of X",
+        "I1 at replica 1: (A,(0, 2)) missing from listing of X",
+        "I1 at replica 1: (B,(0, 1)) missing from listing of X",
+        "I1 at replica 1: (B,(0, 2)) missing from listing of X",
+        "I4 at replica 0: removed unknown pair ('A', (1, 0)) at X",
+        "I4 at replica 0: removed unknown pair ('B', (1, 0)) at X",
+        "I4 at replica 1: removed unknown pair ('A', (0, 1)) at X",
+        "I4 at replica 1: removed unknown pair ('B', (0, 1)) at X",
+    },
+    "backward_retirement": {
+        "I1 at replica 0: (A,(0, 0)) missing from listing of X",
+        "I1 at replica 0: (A,(0, 1)) missing from listing of X",
+        "I1 at replica 0: (A,(1, 0)) missing from listing of X",
+        "I1 at replica 0: (B,(0, 1)) missing from listing of X",
+        "I1 at replica 0: (B,(1, 0)) missing from listing of X",
+        "I1 at replica 1: (A,(0, 0)) missing from listing of X",
+        "I1 at replica 1: (A,(0, 1)) missing from listing of X",
+        "I1 at replica 1: (A,(1, 0)) missing from listing of X",
+        "I1 at replica 1: (B,(0, 1)) missing from listing of X",
+        "I1 at replica 1: (B,(1, 0)) missing from listing of X",
+    },
+}
+
 
 def campaign_violations(seed: int, mode: str) -> set:
     found = set()
@@ -117,6 +149,12 @@ def test_explorer_catches_chain_fault_at_two_events(monkeypatch, fault):
     assert explorer_violations(PURE_CAUSAL) == set()
     put_in(monkeypatch)
     assert invariants <= explorer_violations(PURE_CAUSAL)
+
+
+@pytest.mark.parametrize("fault", CHAIN_FAULTS)
+def test_explorer_findings_of_chain_fault_pinned(monkeypatch, fault):
+    FAULTS[fault][0](monkeypatch)
+    assert explorer_findings(PURE_CAUSAL) == CHAIN_FAULT_FINDINGS[fault]
 
 
 @pytest.mark.parametrize("fault", CHAIN_FAULTS)

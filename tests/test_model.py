@@ -207,12 +207,12 @@ class TestClock:
         visit = explore._Search.visit
         states = 0
 
-        def checked_visit(search, world, replica, stable_seen):
+        def checked_visit(search, world, replica, stable_seen, enabled):
             nonlocal states
             states += 1
             for st in world.states:
                 assert_clock_derived(world, st)
-            return visit(search, world, replica, stable_seen)
+            return visit(search, world, replica, stable_seen, enabled)
 
         monkeypatch.setattr(explore._Search, "visit", checked_visit)
         rep = explore_catalog(basic_catalog(), 2, replicas=2, mode=mode, setup=basic_setup)
