@@ -32,11 +32,12 @@ enabled one. A delivery at replica r changes only ``states[r]`` and a
 generator reads only its own replica, so steps at different replicas
 commute. Where every generation choice is at one replica r (every step of
 ``exhaustive_explore``), the search follows the generation and only the
-deliveries at r; once every generation has run, only the deliveries at the
-lowest-numbered replica that has one. Elsewhere (the catalog before its
-bound) it follows every enabled step. This reaches every terminal state,
-every view a replica can have when one of its generations runs, and every
-record state of each replica, so the terminal keys, the results, the
+deliveries at r. Elsewhere (the catalog, and every state once every
+generation has run) it follows every enabled step: cutting deliveries
+there saves states but not time, since a state no longer reached by a
+cheap delivery is then built by a generation. This reaches every terminal
+state, every view a replica can have when one of its generations runs, and
+every record state of each replica, so the terminal keys, the results, the
 event-log checks and the record checks find what the full search finds.
 The refinement and persistence checks (``_check_stability``) read every
 replica at once, and they run only at the states visited.
@@ -55,6 +56,7 @@ from .harness import (
     entry_fault,
     listing_mismatches,
     log_faults,
+    refinement_fault,
     removal_fault,
     run_op,
 )
@@ -129,8 +131,8 @@ def _check_stability(world: World, stable_seen: frozenset):
     for st in world.states:
         for qkey, q in st.queries.items():
             keys.add(qkey)
-            if q.stable and not oracle_stable(world, qkey[0], qkey[1]):
-                out.append(f"refinement at replica {st.rid}: stably {qkey[0]} but oracle disagrees")
+            if q.stable and (bad := refinement_fault(world, qkey)) is not None:
+                out.append(f"refinement at replica {st.rid}: {bad}")
     for target, last in stable_seen:
         if not oracle_stable(world, target, last):
             out.append(f"persistence: oracle-stable {target} reverted")
@@ -342,9 +344,9 @@ class _Search:
         self.steps = steps
         self.ends_anywhere = ends_anywhere
         # The replica of every choice at each position, or None where the
-        # choices span replicas.
+        # choices span replicas and once every generation has run.
         self.step_replica = [choices[0][0] if len({c[0] for c in choices}) == 1 else None
-                             for choices in steps]
+                             for choices in steps] + [None]
         self._descend(self.root, self.root_sig, None, 0, frozenset(), None)
         return self.report
 
@@ -360,15 +362,10 @@ class _Search:
                 child = self.generate(world, k, sig, replica, op, slot)
                 if child is not None:
                     self._descend(*child, replica, k + 1, stable_seen, None)
-            # Deliveries at other replicas than the generation's commute
-            # with it, so they wait (module docstring).
-            at = self.step_replica[k]
-            replicas = range(world.n) if at is None else (at,)
-        else:
-            # Only deliveries are left, and those at different replicas
-            # commute: one replica's suffice.
-            replicas = [r for r in range(world.n) if enabled[r]][:1]
-        for replica in replicas:
+        # Where every generation choice is at one replica, deliveries at
+        # the others commute with it, so they wait (module docstring).
+        at = self.step_replica[k]
+        for replica in range(world.n) if at is None else (at,):
             for mkey in enabled[replica]:
                 child = self.deliver(world, k, sig, replica, mkey)
                 if child is not None:

@@ -27,7 +27,7 @@ from .model import (
     SimulatorError,
     World,
 )
-from .refs import InRefAdd, InRefRemove, MarkDeleted, OutRefSet, last_refs_arg
+from .refs import InRefAdd, InRefRemove, MarkDeleted, OutRefSet
 
 
 class ConfigInvalid(Exception):
@@ -163,15 +163,9 @@ def run_op(world: World, replica: int, op: OpCall) -> tuple:
     return result, spawned
 
 
-def _execute_labeled(world: World, replica: int, op: OpCall, label: str, labels: dict, eid_labels: dict):
-    """Run one operation, labeling every event it spawns. Returns the
-    result string and the spawned events."""
-    result, spawned = run_op(world, replica, op)
-    for j, ev in enumerate(spawned):
-        lab = label if j == 0 else f"{label}.{j}"
-        labels[lab] = ev.id
-        eid_labels[ev.id] = lab
-    return result, spawned
+def _event_label(label: str, j: int) -> str:
+    """The label of the ``j``-th event spawned by the step labeled ``label``."""
+    return label if j == 0 else f"{label}.{j}"
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +198,7 @@ def _deliver_all(world: World, replica: int, steps: list, eid_labels: dict) -> N
         steps.append(DeliverStep(replica, eid_labels[eid], idx))
 
 
-def _draw_args(rng: random.Random, world: World, replica: int, kind: str):
+def _draw_args(rng: random.Random, world: World, replica: int, kind: str, next_keys: list):
     st = world.states[replica]
     keys = list(st.objects)
     live = [k for k in keys if not st.objects[k].deleted]
@@ -214,8 +208,8 @@ def _draw_args(rng: random.Random, world: World, replica: int, kind: str):
         return rng.choice(sorted(st.objects[key].attrs))
 
     if kind == "create":
-        key = f"o{replica}n{st.next_key}"
-        st.next_key += 1
+        key = f"o{replica}n{next_keys[replica]}"
+        next_keys[replica] += 1
         nattrs = rng.randint(1, 2)
         return {"key": key, "root": rng.random() < 0.3, "attrs": ["f", "g"][:nattrs]}
     if kind == "announce":
@@ -287,8 +281,8 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
     rng = random.Random(seed)
     world = World(config.replicas, config.mode)
     steps: list = []
-    labels: dict = {}
     eid_labels: dict = {}
+    next_keys = [0] * config.replicas  # numbers the next create at each replica
     successes: list[Event] = []
     kinds = sorted(config.weights)
     weights = [config.weights[k] for k in kinds]
@@ -330,21 +324,23 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
             if ripe:
                 op = OpCall("delete", {"target": ripe[0], "last": "auto"})
             elif i == reclaim_from:
-                args = _draw_args(rng, world, replica, "may_delete")
+                args = _draw_args(rng, world, replica, "may_delete", next_keys)
                 if args is not None:
                     op = OpCall("may_delete", args)
         else:
             draw_kinds, draw_weights = kinds, weights
         for _ in range(8):
             kind = rng.choices(draw_kinds, draw_weights)[0]
-            args = _draw_args(rng, world, replica, kind)
+            args = _draw_args(rng, world, replica, kind, next_keys)
             if args is not None:
                 op = OpCall(kind, args)
                 break
         if op is None:
-            op = OpCall("create", _draw_args(rng, world, replica, "create"))
+            op = OpCall("create", _draw_args(rng, world, replica, "create", next_keys))
         label = f"g{i}"
-        result, spawned = _execute_labeled(world, replica, op, label, labels, eid_labels)
+        result, spawned = run_op(world, replica, op)
+        for j, ev in enumerate(spawned):
+            eid_labels[ev.id] = _event_label(label, j)
         steps.append(GenStep(label, replica, op, result))
         successes.extend(spawned)
     return Trace(seed, config, steps)
@@ -366,11 +362,12 @@ def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
     world = World(trace.config.replicas, trace.config.mode)
     world.on_apply = on_apply
     labels: dict = {}
-    eid_labels: dict = {}
     norm: list = []
     for i, step in enumerate(trace.steps):
         if isinstance(step, GenStep):
-            result, _spawned = _execute_labeled(world, step.replica, step.op, step.label, labels, eid_labels)
+            result, spawned = run_op(world, step.replica, step.op)
+            for j, ev in enumerate(spawned):
+                labels[_event_label(step.label, j)] = ev.id
             if strict and result != step.result:
                 raise ReplayMismatch(f"step {i} ({step.label}): recorded {step.result!r}, got {result!r}")
             step = GenStep(step.label, step.replica, step.op, result)
@@ -397,11 +394,12 @@ def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
 # ---------------------------------------------------------------------------
 # Invariant checking.
 #
-# Each clause of I1-I6 is defined once below. A clause returns what it found
-# wrong: a detail string, or None when it holds (the functions covering
-# several clauses return lists). The Checker runs the clauses during a
-# replay, and the explorer (``explore``) at the states it reaches; each only
-# chooses where to run them and how to word what they find.
+# Each clause of I1-I6 and of refinement is defined once below. A clause
+# returns what it found wrong: a detail string, or None when it holds (the
+# functions covering several clauses return lists). The Checker runs the
+# clauses during a replay, and the explorer (``explore``) at the states it
+# reaches; each only chooses where to run them and how to word what they
+# find.
 
 def entry_fault(st, key: str, attr: str, e):
     """I1 for the non-NULL entry ``e`` of ``key.attr`` at replica state
@@ -487,6 +485,15 @@ def log_faults(world: World) -> list:
     return out
 
 
+def refinement_fault(world: World, key):
+    """Refinement for the query ``key`` = (target, ignore-set), which a
+    replica holds as stable: the omniscient oracle agrees that it is."""
+    target, last = key
+    if not stability.oracle_stable(world, target, last):
+        return f"stably {target} but oracle disagrees"
+    return None
+
+
 def diverging_replicas(world: World) -> list:
     """I5 at a quiesced ``world``: the replicas whose object state differs
     from replica 0's, compared by canonical text."""
@@ -510,12 +517,17 @@ def listing_mismatches(st) -> list:
     return out
 
 
+# The (kind, result) of a step that got the detector's "stable" answer.
+STABLE_ANSWERS = {("may_delete", "true"), ("delete", "ok")}
+
+
 class Checker:
     """Runs the invariant clauses during a replay.
 
     ``on_apply``, the world's application hook, checks after each payload
-    only the clauses that payload can falsify; ``scan_deletions`` runs the
-    event-log checks once the trace has been replayed.
+    only the clauses that payload can falsify; ``on_step``, the replay's step
+    hook, checks refinement; ``scan_deletions`` runs the event-log checks
+    once the trace has been replayed.
     """
 
     def __init__(self):
@@ -559,6 +571,16 @@ class Checker:
         if detail is not None:
             self.violations.append(Violation(invariant, self.step, st.rid, detail))
 
+    def on_step(self, world: World, i: int, step) -> None:
+        """Refinement after step ``i``, when it gave the detector's "stable"
+        answer: every query the step's replica holds as stable."""
+        if isinstance(step, GenStep) and (step.op.kind, step.result) in STABLE_ANSWERS:
+            st = world.states[step.replica]
+            for key, q in st.queries.items():
+                if q.stable:
+                    self._bad("refinement", st, refinement_fault(world, key))
+        self.step = i + 1  # after the last step: quiescence and later
+
     def scan_deletions(self, world: World) -> None:
         """The event-log checks (I2 and the global half of I3), once per
         replayed trace."""
@@ -566,39 +588,12 @@ class Checker:
             self.violations.append(Violation(invariant, -1, replica, detail))
 
 
-def _check_refinement(checker: Checker, world: World, step_index: int, step: GenStep) -> None:
-    """Whenever the distributed detector says stable, the omniscient oracle
-    must agree at the same state."""
-    probe = None
-    if step.op.kind == "may_delete" and step.result == "true":
-        st = world.states[step.replica]
-        probe = (step.op.args["target"], last_refs_arg(st, step.op.args["target"], step.op.args.get("last", "auto")))
-    elif step.op.kind == "delete" and step.result == "ok":
-        # The delete event is the last one generated at the step's replica
-        # (a query it registers comes first); its chain ends with the
-        # mark-deleted payload, which records the ignore-set.
-        r = step.replica
-        ev = world.events[(r, world.states[r].applied_full[r])]
-        target, p = ev.chain[-1].items[-1]
-        probe = (target, p.last)
-    if probe is not None and not stability.oracle_stable(world, probe[0], probe[1]):
-        checker.violations.append(Violation(
-            "refinement", step_index, step.replica,
-            f"stably-true for {probe[0]} but oracle disagrees",
-        ))
-
-
-def check_invariants(trace: Trace, strict: bool = True) -> InvariantReport:
-    """Replay a trace, checking I1-I4 at every post-application state,
-    I5-I7 after forced quiescence, plus the stability refinement property."""
+def check_invariants(trace: Trace) -> InvariantReport:
+    """Replay a trace strictly, checking I1-I4 at every post-application
+    state, I5-I7 after forced quiescence, plus the stability refinement
+    property."""
     checker = Checker()
-
-    def on_step(world, i, step):
-        if isinstance(step, GenStep):
-            _check_refinement(checker, world, i, step)
-        checker.step = i + 1  # after the last step: quiescence and later
-
-    world, norm = replay(trace, strict=strict, on_apply=checker.on_apply, on_step=on_step)
+    world, norm = replay(trace, on_apply=checker.on_apply, on_step=checker.on_step)
     world.quiesce()
 
     n = world.n
@@ -627,11 +622,10 @@ def check_invariants(trace: Trace, strict: bool = True) -> InvariantReport:
             world.quiesce()
         for t in candidates:
             for r in range(n):
-                ok = stability.stably_subset(world, r, t, frozenset())
-                if not ok:
+                if not stability.stably_subset(world, r, t, frozenset()):
                     checker.violations.append(Violation("I7", -1, r, f"{t} not stably unreferenced after 2 rounds"))
-                elif not stability.oracle_stable(world, t, frozenset()):
-                    checker.violations.append(Violation("refinement", -1, r, f"stable {t} but oracle disagrees"))
+                elif (bad := refinement_fault(world, (t, frozenset()))) is not None:
+                    checker.violations.append(Violation("refinement", -1, r, bad))
 
     report = InvariantReport(checker.violations)
     report.stats["multivalued"] = checker.multivalued
@@ -653,19 +647,19 @@ def shrink(failing: Trace) -> Trace:
     """Greedy minimization: drop whole events, then individual deliveries,
     as long as the same invariant still fails. The result replays to the
     same failure and is never larger than the input."""
-    base = check_invariants(failing, strict=False)
+    current = _normalize(failing)
+    base = check_invariants(current)
     if base.ok:
         raise NotFailing("trace does not fail any invariant")
     target_inv = base.violations[0].invariant
 
     def fails(t: Trace):
         try:
-            rep = check_invariants(t, strict=False)
+            rep = check_invariants(t)
         except (SimulatorError, ReplayMismatch):
             return False
         return target_inv in rep.failed_invariants()
 
-    current = _normalize(failing)
     changed = True
     while changed:
         changed = False

@@ -121,7 +121,7 @@ class ReplicaState:
     __slots__ = (
         "rid", "objects", "owned", "applied_full", "progress", "pending",
         "queries", "condemned", "created_here", "ref_counts",
-        "next_key", "next_ref", "next_dot",
+        "next_ref", "next_dot",
     )
 
     def __init__(self, rid: ReplicaId):
@@ -142,7 +142,6 @@ class ReplicaState:
         self.queries: dict[Any, Any] = {}
         self.condemned: set[str] = set()
         self.created_here: set[str] = set()
-        self.next_key = 0
         self.next_ref = 0
         self.next_dot = 0
 
@@ -163,7 +162,6 @@ class ReplicaState:
         st.queries = {k: q.clone() for k, q in self.queries.items()}
         st.condemned = set(self.condemned)
         st.created_here = set(self.created_here)
-        st.next_key = self.next_key
         st.next_ref = self.next_ref
         st.next_dot = self.next_dot
         return st

@@ -45,7 +45,6 @@ class Report:
     target: str
     last: frozenset
     holds: bool
-    clock: tuple  # sorted (replica, count) pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,12 +140,12 @@ def gen_announce(world: World, st: ReplicaState, a: dict):
             # Pledge: having vouched that the target is deletable, this
             # replica refuses to mint new references to it from now on.
             st.condemned.add(target)
-        reports.append(Report(target, last, holds, clock))
+        reports.append(Report(target, last, holds))
     return [(None, ClockAnnounce(st.rid, clock, tuple(reports)))]
 
 
 def apply_clock_announce(world: World, st: ReplicaState, target, p: ClockAnnounce) -> None:
-    # Every report carries the announce's own clock; decode it once. Clock
+    # Every report holds at the announce's clock; decode it once. Clock
     # dicts are never mutated in place, so the observers may share it.
     clock = dict(p.clock)
     for rep in p.reports:

@@ -9,7 +9,9 @@ Each fault is put in with monkeypatch for one test only:
 - no pledge: a replica reporting a target unreferenced does not promise to
   mint no new reference to it;
 - no detection: ``may_delete`` says yes at once, so a delete never waits
-  for the stability detector.
+  for the stability detector;
+- mark-deleted first: a delete's mark-deleted payload goes out before the
+  writes that null the target's attributes.
 
 The two chain faults only reorder the payloads of one chain. In atomic mode
 a chain is one message, applied whole before any check runs, so they change
@@ -22,7 +24,15 @@ import pytest
 
 from causalrefs import explore, ops, refs, stability
 from causalrefs.explore import basic_catalog, basic_setup, explore_catalog
-from causalrefs.harness import Trace, TraceConfig, check_invariants, execution_seed, random_execution
+from causalrefs.harness import (
+    GenStep,
+    InvariantReport,
+    Trace,
+    TraceConfig,
+    check_invariants,
+    execution_seed,
+    random_execution,
+)
 from causalrefs.model import ATOMIC, PURE_CAUSAL
 from causalrefs.scenarios import run_fig1
 
@@ -60,6 +70,16 @@ def no_pledge(monkeypatch):
         return chain
 
     monkeypatch.setitem(ops.GENERATORS, "announce", mutant)
+
+
+def mark_deleted_first(monkeypatch):
+    delete = ops.GENERATORS["delete"]
+
+    def mutant(world, st, args):
+        *writes, mark = delete(world, st, args)
+        return [mark, *writes]
+
+    monkeypatch.setitem(ops.GENERATORS, "delete", mutant)
 
 
 # Fault -> (how to put it in, campaign seed, invariants it must violate).
@@ -141,6 +161,20 @@ def test_violation_names_the_step_that_caused_it(monkeypatch):
         prefix = check_invariants(Trace(trace.seed, trace.config, trace.steps[:n]))
         found = [v for v in prefix.violations if 0 <= v.step < n]
         assert found == [v for v in full if 0 <= v.step < n], n
+
+
+def test_mark_deleted_first_gives_reports(monkeypatch):
+    # Refinement is judged from the queries a replica holds as stable, not
+    # from where a delete's chain puts its ignore-set, so a reordered delete
+    # chain is checked like any other.
+    mark_deleted_first(monkeypatch)
+    deletes = 0
+    for i in range(10):
+        trace = random_execution(execution_seed(0, i), TraceConfig(replicas=2, events=60))
+        assert isinstance(check_invariants(trace), InvariantReport), i
+        deletes += sum(isinstance(s, GenStep) and s.op.kind == "delete" and s.result == "ok"
+                       for s in trace.steps)
+    assert deletes > 0
 
 
 @pytest.mark.parametrize("fault", CHAIN_FAULTS)

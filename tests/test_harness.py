@@ -185,7 +185,7 @@ class TestShrink:
         assert failing is not None
         tr, rep = failing
         small = shrink(tr)
-        small_rep = check_invariants(small, strict=False)
+        small_rep = check_invariants(small)
         assert rep.failed_invariants() & small_rep.failed_invariants()
         assert len(small.steps) <= len(tr.steps)
 

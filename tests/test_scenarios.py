@@ -19,7 +19,7 @@ def test_fig2_state_shape(mode):
 # states or split equal ones would change them. The full search, which
 # follows every delivery order, reaches 2,213 and 1,629 states with the
 # same 70 terminal states.
-FIG1_COUNTS = {PURE_CAUSAL: (1093, 70), ATOMIC: (793, 70)}
+FIG1_COUNTS = {PURE_CAUSAL: (1345, 70), ATOMIC: (973, 70)}
 
 
 @pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])

@@ -1,6 +1,15 @@
 import pytest
 
-from causalrefs.harness import TraceConfig, execution_seed, random_execution, replay, run_op
+from causalrefs.harness import (
+    Checker,
+    GenStep,
+    TraceConfig,
+    execution_seed,
+    random_execution,
+    refinement_fault,
+    replay,
+    run_op,
+)
 from causalrefs.model import (
     ATOMIC,
     PURE_CAUSAL,
@@ -219,11 +228,55 @@ class TestLiveness:
             assert all(stably_subset(w, r, "X", frozenset()) for r in range(replicas))
 
 
+class TestRefinementFault:
+    def detected(self):
+        """X and Y queried, X then referenced from the root A, and two
+        announce rounds: every replica holds the query for Y as stable."""
+        w = unreferenced_world()
+        create(w, 0, "Y")
+        for target in ("X", "Y"):
+            w.execute(0, OpCall("may_delete", {"target": target, "last": []}))
+        w.generate(0, OpCall("init", {"source": "A", "attr": "a", "target": "X"}))
+        w.quiesce()
+        announce_round(w)
+        announce_round(w)
+        for st in w.states:
+            assert st.queries[("Y", frozenset())].stable
+            assert not st.queries[("X", frozenset())].stable
+        return w
+
+    def test_unreferenced_stable_query_not_reported(self):
+        w = self.detected()
+        assert refinement_fault(w, ("Y", frozenset())) is None
+
+    def test_referenced_stable_query_reported(self):
+        w = self.detected()
+        # Built by hand: X is referenced, so the detector never says this.
+        w.states[1].queries[("X", frozenset())].stable = True
+        assert refinement_fault(w, ("X", frozenset())) == "stably X but oracle disagrees"
+
+    def test_checker_judges_every_stable_query_of_the_step_replica(self):
+        # The step probes Y, but X, also held as stable at its replica, is
+        # what the oracle disputes: the step check reads the replica's
+        # queries, not the step's arguments.
+        w = self.detected()
+        w.states[1].queries[("X", frozenset())].stable = True
+        checker = Checker()
+        probe = OpCall("may_delete", {"target": "Y", "last": "auto"})
+        checker.step = 7
+        checker.on_step(w, 7, GenStep("g7", 1, probe, "false"))
+        checker.on_step(w, 8, GenStep("g8", 0, probe, "true"))
+        assert checker.violations == []
+        checker.on_step(w, 9, GenStep("g9", 1, probe, "true"))
+        assert [(v.invariant, v.step, v.replica, v.detail) for v in checker.violations] == [
+            ("refinement", 9, 1, "stably X but oracle disagrees")]
+
+
 class TestAnnounce:
     def test_report_for_unregistered_query_is_simulator_error(self):
         w = unreferenced_world()
         clock = ((0, 2),)
-        p = ClockAnnounce(0, clock, (Report("X", frozenset(), True, clock),))
+        p = ClockAnnounce(0, clock, (Report("X", frozenset(), True),))
         with pytest.raises(SimulatorError):
             apply_clock_announce(w, w.states[1], None, p)
 
