@@ -4,23 +4,47 @@ the randomized harness.
 Given a short program (a fixed sequence of operations, each pinned to a
 replica), the explorer covers every causally-valid interleaving of
 generation and effector delivery, up to the order of steps that commute
-(below), checking safety invariants in every state it visits and
-convergence properties in every terminal state, with the invariant clauses
-the harness defines (``harness.entry_fault`` and the functions after it).
+(below), with the invariant clauses the harness defines: the record
+clauses on every replica state it builds, refinement and persistence at
+every state it visits, and convergence at every terminal state.
+
 Reached states are deduplicated by a sound structural key: the program
-prefix executed, the exact effector chains generated so far, and each
-replica's delivery progress — everything else is a deterministic function
-of those. Each chain is interned to a small int when it is generated, and a
-delivery successor's key is derived from its parent's and checked before
-the successor is built, so reaching a state again costs no copy. A
-generation successor's key comes from a table of generation outcomes, keyed
-by what the generator can read, once the same op has run on an equal
+prefix executed, the events generated so far, and each replica's delivery
+entry. At two replicas the entry is the replica's delivery progress, and
+everything else is a function of these. From three replicas on, a replica
+applies two remote origins' messages in an order its progress does not
+fix, and a third replica waits on an event's dependencies on other
+origins; so there an entry also lists, in application order, the origins
+of the remote messages whose effect depends on that order
+(``_order_sensitive``), and an event is keyed with its dependencies on
+other origins. Each event is interned to a small int when it is generated,
+and a delivery successor's key is derived from its parent's and checked
+before the successor is built, so reaching a state again costs no copy. A
+generation successor's key comes from a table of generation outcomes,
+keyed by what the generator can read, once the same op has run on an equal
 replica view; it too is built only if it is fresh.
 
 Successors share with their parent what they do not change: a delivery
 copies only the replica state it touches, and a copied replica state shares
-its object records until it writes one (``ReplicaState.writable``). The
-explorer never mutates a world after handing it on.
+its object records until it writes one (``ReplicaState.writable``).
+Deliveries leave the event log as it is, so below one generation successor
+a replica state is a function of its delivery entry: each generation level
+keeps the replica states it built by (replica, entry), and a delivery
+successor reaching a kept entry shares that state and its enabled
+deliveries instead of building them, as SPIN's collapse mode (Holzmann
+1997) stores each local state once. A level's table is dropped when the
+search returns from its generation successor. The explorer never mutates
+a world after handing it on.
+
+The record clauses (I1, I3's local half, I4) are checked where payloads
+apply, by ``harness.Checker.on_apply`` on each replica state the search
+builds (``_check_state``): after a delivery on the delivered message, after
+a generation on the spawned chains at the origin's final state (a chain
+applies there at once, so the states between its payloads are never
+reached), and at the root on every setup event at every replica. A record
+changes only through payloads and each payload's check covers every clause
+it can falsify, so every finding at a reached state is reported where the
+step that made it true was built; a shared state was checked when built.
 
 ``exhaustive_explore`` runs one program; ``explore_catalog`` branches over
 a whole operation catalog at every generation point, covering every program
@@ -50,18 +74,17 @@ from dataclasses import dataclass, field
 from .canon import canon_objects
 from .harness import (
     MAX_REPLICAS,
+    Checker,
     ConfigInvalid,
-    deleted_faults,
     diverging_replicas,
-    entry_fault,
     listing_mismatches,
     log_faults,
     refinement_fault,
-    removal_fault,
     run_op,
 )
 from .model import OpCall, PURE_CAUSAL, SimulatorError, World
-from .stability import oracle_stable
+from .refs import MarkDeleted
+from .stability import ClockAnnounce, oracle_stable
 
 DEFAULT_BOUND = 5
 
@@ -91,35 +114,32 @@ def _objects_key(world: World) -> str:
 
 
 def _state_key(k: int, events: tuple, delivery: tuple) -> tuple:
-    """Deduplication key: the program position, the interned effector chains
-    in event-id order, and each replica's delivery signature."""
+    """Deduplication key: the program position, the interned events in
+    event-id order, and each replica's delivery entry."""
     return (k, events, delivery)
 
 
-def _delivery_sig(st) -> tuple:
-    return (tuple(sorted(st.applied_full.items())), tuple(sorted(st.progress.items())))
+def _delivery_sig(st, order: tuple = ()) -> tuple:
+    """``st``'s delivery entry, with ``order`` as its order of
+    order-sensitive remote messages."""
+    return (tuple(sorted(st.applied_full.items())), tuple(sorted(st.progress.items())), order)
 
 
-def _check_state(world: World, replica=None) -> list:
-    """Every clause on a record (I1, I3's local half, I4) on every record of
-    ``states[replica]``, or of every replica state when ``replica`` is None."""
-    out = []
-    for st in world.states if replica is None else (world.states[replica],):
-        at = f"at replica {st.rid}"
-        for key, rec in st.objects.items():
-            for pair in sorted(rec.inref.removed):
-                bad = removal_fault(rec, pair)
-                if bad:
-                    out.append(f"I4 {at}: {bad}")
-            if rec.deleted:
-                out.extend(f"{invariant} {at}: {bad}" for invariant, bad in deleted_faults(st, rec))
-            for attr, outref in rec.attrs.items():
-                for e in outref.entries.values():
-                    if e.target is not None:
-                        bad = entry_fault(st, key, attr, e)
-                        if bad:
-                            out.append(f"I1 {at}: {bad}")
-    return out
+def _order_sensitive(msg) -> bool:
+    """Whether ``msg``'s effect at a replica depends on the order in which it
+    and the messages of other origins apply there."""
+    return any(type(p) is MarkDeleted or (type(p) is ClockAnnounce and p.reports)
+               for _target, p in msg.items)
+
+
+def _check_state(checker: Checker, world: World, st, messages) -> list:
+    """The record clauses ``messages``' payloads can falsify, checked at the
+    replica state ``st`` they have been applied to (``Checker.on_apply``)."""
+    for msg in messages:
+        checker.on_apply(world, st, msg)
+    found = [f"{v.invariant} at replica {v.replica}: {v.detail}" for v in checker.violations]
+    checker.violations.clear()
+    return found
 
 
 def _check_stability(world: World, stable_seen: frozenset):
@@ -156,34 +176,37 @@ def _check_terminal(world: World) -> list:
 
 def _enabled(world: World, st) -> tuple:
     """The keys of ``st``'s pending messages that are deliverable now, in
-    key order."""
-    return tuple(mkey for mkey in sorted(st.pending) if world.deliverable(st.rid, st.pending[mkey]))
+    key order: at most one per origin."""
+    return tuple(key for origin in range(world.n)
+                 if (key := world.next_deliverable(st, origin)) is not None)
 
 
 class _Search:
     """What one exploration shares across its states: the root world, the
-    report, the keys already seen, the chain interning table and the
-    generation outcome table.
+    report, the checker, the keys already seen, the event interning table,
+    the generation outcome table and the reuse table of each generation
+    level on the current path.
 
     A state travels down the recursion as its world, its signature
     ``(events, delivery)``, the parts of its key besides the program
     position, and its enabled deliveries per replica. A world handed on is
     never mutated again, so a delivery successor copies only the replica
-    state it changes (``World.clone``) and recomputes only that replica's
-    enabled deliveries.
+    state it changes (``World.clone``), or shares the one its level built
+    for the same entry (``World.sharing``); only that replica's enabled
+    deliveries change.
     For the same reason a record's cached canonical text stays valid in
     every world that shares the record: a successor that changes it
     changes a copy, which starts without text. So each record's text is
     built once, however many terminal keys and I5 checks read it.
 
     A generator reads only its replica's state, which, like the whole state
-    behind the key, is a function of the chains applied there and of the
+    behind the key, is a function of the events applied there and of the
     replica's delivery entry. So the outcome of running the op in slot
-    ``slot`` at ``replica`` (its result, the spawned chains and the
+    ``slot`` at ``replica`` (its result, the spawned events and the
     replica's new delivery entry) is kept under ``(replica, slot, entry,
-    view)``, ``view`` being the interned chains of the events applied at
-    the replica. A later attempt with the same key derives its successor's
-    signature from the table and builds the successor only if it is fresh.
+    view)``, ``view`` being the interned events applied at the replica. A
+    later attempt with the same key derives its successor's signature from
+    the table and builds the successor only if it is fresh.
     """
 
     def __init__(self, replicas: int, mode: str, setup):
@@ -194,24 +217,38 @@ class _Search:
             setup(self.root)
             self.root.quiesce()
         self.report = ExploreReport()
+        self.checker = Checker()
         self.seen: set = set()
-        self.chains: dict = {}
+        self.interned: dict = {}
         # Delivery entries and views recur across many keys; one shared
         # copy of each keeps the table from costing memory.
         self.shared: dict = {}
         self.outcomes: dict = {}
+        # Per generation level on the current path: (replica, delivery
+        # entry) -> (replica state, its enabled deliveries).
+        self.levels: list = [{}]
         self.root_sig = self.signature(self.root)
         self.fresh(0, self.root_sig)
+        setup_messages = [msg for ev in self.root.events.values() for msg in ev.chain]
+        for st in self.root.states:
+            self.report.violations.extend(_check_state(self.checker, self.root, st, setup_messages))
 
-    def _intern(self, chain: tuple) -> int:
-        return self.chains.setdefault(chain, len(self.chains))
+    def _intern(self, ev) -> int:
+        """The small int standing for event ``ev`` in keys: its chain, and
+        from three replicas on also its dependencies on other origins."""
+        key = ev.chain
+        if self.root.n > 2:
+            key = key, tuple(sorted((r, c) for r, c in ev.deps.items() if r != ev.replica))
+        return self.interned.setdefault(key, len(self.interned))
 
     def _share(self, value: tuple) -> tuple:
         return self.shared.setdefault(value, value)
 
     def signature(self, world: World) -> tuple:
-        """``world``'s signature, computed from scratch."""
-        events = tuple(self._intern(world.events[eid].chain) for eid in sorted(world.events))
+        """``world``'s signature, computed from scratch with every order
+        of order-sensitive messages empty: exact at the root, and at two
+        replicas, where the orders stay empty."""
+        events = tuple(self._intern(world.events[eid]) for eid in sorted(world.events))
         return events, tuple(self._share(_delivery_sig(st)) for st in world.states)
 
     def fresh(self, k: int, sig: tuple) -> bool:
@@ -222,23 +259,14 @@ class _Search:
         self.seen.add(key)
         return True
 
-    def visit(self, world: World, replica, stable_seen: frozenset, enabled) -> tuple:
-        """Count and check a newly reached state, which differs from the
-        state it was reached from only at ``replica`` (None at the root): the
-        other replica states were checked there. ``enabled`` is the parent's
-        enabled deliveries per replica when the step was a delivery, which
-        leaves every other replica's unchanged, and None otherwise. Returns
-        the state's enabled deliveries per replica and the updated set of
-        oracle-stable queries."""
-        viols = _check_state(world, replica)
+    def visit(self, world: World, stable_seen: frozenset) -> frozenset:
+        """Count a newly reached state and run the checks that read every
+        replica at once. Returns the updated set of oracle-stable
+        queries."""
         stab, stable_seen = _check_stability(world, stable_seen)
         self.report.states += 1
-        self.report.violations.extend(viols + stab)
-        if enabled is None:
-            enabled = tuple(_enabled(world, st) for st in world.states)
-        else:
-            enabled = enabled[:replica] + (_enabled(world, world.states[replica]),) + enabled[replica + 1:]
-        return enabled, stable_seen
+        self.report.violations.extend(stab)
+        return stable_seen
 
     def terminal(self, world: World) -> None:
         self.report.terminals += 1
@@ -265,7 +293,7 @@ class _Search:
 
     def successor(self, world: World, sig: tuple, replica: int, outcome: tuple) -> tuple:
         """The signature after ``outcome`` of a generation at ``replica``:
-        the spawned chains follow ``replica``'s earlier events."""
+        the spawned events follow ``replica``'s earlier events."""
         events, delivery = sig
         _result, spawned, entry = outcome
         if spawned:
@@ -273,40 +301,47 @@ class _Search:
             events = events[:at] + tuple(c for _eid, c in spawned) + events[at:]
         return events, delivery[:replica] + (entry,) + delivery[replica + 1:]
 
-    def _execute(self, world: World, replica: int, op: OpCall) -> tuple:
-        """Run ``op`` at ``replica`` on ``world``, a fresh full copy.
-        Returns the outcome: the result, the spawned (event id, interned
-        chain) pairs and the replica's new delivery entry."""
+    def _execute(self, world: World, replica: int, op: OpCall, order: tuple) -> tuple:
+        """Run ``op`` at ``replica`` on ``world``, a fresh full copy, where
+        the replica's order of order-sensitive messages is ``order``, which
+        a generation leaves as it is. Returns the outcome: the result, the
+        spawned (event id, interned event) pairs and the replica's new
+        delivery entry."""
         result, spawned = run_op(world, replica, op)
-        spawned = tuple((ev.id, self._intern(ev.chain)) for ev in spawned)
-        return result, spawned, self._share(_delivery_sig(world.states[replica]))
+        spawned = tuple((ev.id, self._intern(ev)) for ev in spawned)
+        return result, spawned, self._share(_delivery_sig(world.states[replica], order))
 
     def generate(self, world: World, k: int, sig: tuple, replica: int, op: OpCall, slot: int):
         """Run ``op`` (the op in ``slot`` of the program or catalog) at
         ``replica``, recording its result. Returns the successor as (world,
-        signature), or None for a state already seen.
+        signature, enabled deliveries), or None for a state already seen.
 
         A known outcome gives the successor's signature without running
         the op; the successor is then built, on a full copy of ``world``,
-        only if it is fresh, and must match the known outcome."""
+        only if it is fresh, and must match the known outcome. A built
+        successor is checked: the spawned chains at ``replica`` and the
+        event log."""
         key = self.outcome_key(world, sig, replica, slot)
+        order = sig[1][replica][2]
         outcome = self.outcomes.get(key)
         w2 = None
         if outcome is None:
             w2 = world.clone()
-            outcome = self.outcomes[key] = self._execute(w2, replica, op)
+            outcome = self.outcomes[key] = self._execute(w2, replica, op, order)
         self.report.results.setdefault(k, set()).add(outcome[0])
         new_sig = self.successor(world, sig, replica, outcome)
         if not self.fresh(k + 1, new_sig):
             return None
         if w2 is None:
             w2 = world.clone()
-            actual = self._execute(w2, replica, op)
+            actual = self._execute(w2, replica, op, order)
             if actual != outcome:
                 raise SimulatorError(f"generation at replica {replica} gave {actual!r}, but "
                                      f"{outcome!r} on an equal view")
+        spawned = [msg for eid, _event in outcome[1] for msg in w2.events[eid].chain]
+        self.report.violations.extend(_check_state(self.checker, w2, w2.states[replica], spawned))
         self.report.violations.extend(_check_refids(w2))
-        return w2, new_sig
+        return w2, new_sig, tuple(_enabled(w2, st) for st in w2.states)
 
     def delivered(self, world: World, sig: tuple, replica: int, mkey) -> tuple:
         """The signature once pending message ``mkey`` is applied at
@@ -314,27 +349,44 @@ class _Search:
         events, delivery = sig
         eid, idx = mkey
         st = world.states[replica]
-        applied = delivery[replica][0]
+        applied, _progress, order = delivery[replica]
+        chain = world.events[eid].chain
         progress = dict(st.progress)
-        if idx + 1 == len(world.events[eid].chain):
+        if idx + 1 == len(chain):
             progress.pop(eid, None)
             full = dict(st.applied_full)
             full[eid[0]] = eid[1]
             applied = tuple(sorted(full.items()))
         else:
             progress[eid] = idx + 1
-        new = self._share((applied, tuple(sorted(progress.items()))))
+        if world.n > 2 and _order_sensitive(chain[idx]):
+            order += (eid[0],)
+        new = self._share((applied, tuple(sorted(progress.items())), order))
         return events, delivery[:replica] + (new,) + delivery[replica + 1:]
 
-    def deliver(self, world: World, k: int, sig: tuple, replica: int, mkey):
-        """The successor applying ``mkey`` at ``replica`` as (world, signature),
-        or None for a state already seen, which is then never copied."""
+    def deliver(self, world: World, k: int, sig: tuple, replica: int, mkey, enabled: tuple):
+        """The successor applying ``mkey`` at ``replica`` as (world, signature,
+        enabled deliveries), or None for a state already seen, which is then
+        never copied. ``enabled`` is ``world``'s: a delivery changes only
+        ``replica``'s. A replica state this generation level has already
+        built for the new delivery entry is shared, not built again; a
+        built one is checked on the delivered message."""
         sig = self.delivered(world, sig, replica, mkey)
         if not self.fresh(k, sig):
             return None
-        w2 = world.clone(replica)
-        w2.apply_message(replica, *mkey)
-        return w2, sig
+        level = self.levels[-1]
+        key = replica, sig[1][replica]
+        built = level.get(key)
+        if built is None:
+            w2 = world.clone(replica)
+            st = w2.states[replica]
+            msg = st.pending[mkey]
+            w2.apply_message(replica, *mkey)
+            self.report.violations.extend(_check_state(self.checker, w2, st, (msg,)))
+            built = level[key] = st, _enabled(w2, st)
+        else:
+            w2 = world.sharing(replica, built[0])
+        return w2, sig, enabled[:replica] + (built[1],) + enabled[replica + 1:]
 
     def run(self, steps: list, ends_anywhere: bool) -> ExploreReport:
         """The depth-first search. ``steps[k]`` lists the (replica, slot, op)
@@ -347,29 +399,32 @@ class _Search:
         # choices span replicas and once every generation has run.
         self.step_replica = [choices[0][0] if len({c[0] for c in choices}) == 1 else None
                              for choices in steps] + [None]
-        self._descend(self.root, self.root_sig, None, 0, frozenset(), None)
+        enabled = tuple(_enabled(self.root, st) for st in self.root.states)
+        self._descend(self.root, self.root_sig, enabled, 0, frozenset())
         return self.report
 
     # A method rather than a nested function, which would refer to itself
     # through its closure cell and keep the whole search alive until the
     # next full garbage collection.
-    def _descend(self, world: World, sig: tuple, changed, k: int, stable_seen: frozenset, enabled):
-        enabled, stable_seen = self.visit(world, changed, stable_seen, enabled)
+    def _descend(self, world: World, sig: tuple, enabled: tuple, k: int, stable_seen: frozenset):
+        stable_seen = self.visit(world, stable_seen)
         if not any(enabled) and (self.ends_anywhere or k == len(self.steps)):
             self.terminal(world)
         if k < len(self.steps):
             for replica, slot, op in self.steps[k]:
                 child = self.generate(world, k, sig, replica, op, slot)
                 if child is not None:
-                    self._descend(*child, replica, k + 1, stable_seen, None)
+                    self.levels.append({})
+                    self._descend(*child, k + 1, stable_seen)
+                    self.levels.pop()
         # Where every generation choice is at one replica, deliveries at
         # the others commute with it, so they wait (module docstring).
         at = self.step_replica[k]
         for replica in range(world.n) if at is None else (at,):
             for mkey in enabled[replica]:
-                child = self.deliver(world, k, sig, replica, mkey)
+                child = self.deliver(world, k, sig, replica, mkey, enabled)
                 if child is not None:
-                    self._descend(*child, replica, k, stable_seen, enabled)
+                    self._descend(*child, k, stable_seen)
 
 
 def exhaustive_explore(program, replicas: int = 2, mode: str = PURE_CAUSAL,
@@ -418,3 +473,14 @@ def basic_setup(world: World) -> None:
     world.generate(0, OpCall("create", {"key": "B", "root": True, "attrs": ["b"]}))
     world.generate(0, OpCall("create", {"key": "X", "root": False, "attrs": ["x"]}))
     world.generate(0, OpCall("init", {"source": "A", "attr": "a", "target": "X"}))
+
+
+def reclaim_setup(world: World) -> None:
+    """A and B (roots) at replica 0 and X at replica 1, quiesced, then a
+    stability query on X registered at replica 1: announcements alone can
+    make X deletable, so the catalog reaches deleted records."""
+    world.generate(0, OpCall("create", {"key": "A", "root": True, "attrs": ["a"]}))
+    world.generate(0, OpCall("create", {"key": "B", "root": True, "attrs": ["b"]}))
+    world.generate(1, OpCall("create", {"key": "X", "root": False, "attrs": ["x"]}))
+    world.quiesce()
+    world.execute(1, OpCall("may_delete", {"target": "X", "last": []}))

@@ -397,9 +397,10 @@ def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
 # Each clause of I1-I6 and of refinement is defined once below. A clause
 # returns what it found wrong: a detail string, or None when it holds (the
 # functions covering several clauses return lists). The Checker runs the
-# clauses during a replay, and the explorer (``explore``) at the states it
-# reaches; each only chooses where to run them and how to word what they
-# find.
+# clauses during a replay, and the explorer (``explore``) runs the
+# Checker's record checks on the replica states it builds and the other
+# clauses at the states it reaches; each only chooses where to run them and
+# how to word what they find.
 
 def entry_fault(st, key: str, attr: str, e):
     """I1 for the non-NULL entry ``e`` of ``key.attr`` at replica state
@@ -427,15 +428,30 @@ def listing_fault(rec, pair):
     return None
 
 
+def targeting_faults(st, key: str) -> list:
+    """I1 for the deleted record ``key`` at replica state ``st``: no entry
+    there targets it. One detail if some entry does, then ``entry_fault``'s
+    for each such entry."""
+    if st.ref_counts.get(key, 0) == 0:
+        return []
+    out = [f"{key} deleted while entries still target it here"]
+    for src_key, src in st.objects.items():
+        for attr, outref in src.attrs.items():
+            for e in outref.entries.values():
+                if e.target == key:
+                    out.append(entry_fault(st, src_key, attr, e))
+    return out
+
+
 def deleted_faults(st, rec) -> list:
     """The clauses on the deleted ``rec`` at replica state ``st``, as
     (invariant, detail) pairs: it is not a root (I1), no entry at ``st``
-    targets it (I1), and each pair of its listing passes ``listing_fault``."""
+    targets it (I1, ``targeting_faults``), and each pair of its listing
+    passes ``listing_fault``."""
     out = []
     if rec.root:
         out.append(("I1", f"root object {rec.key} deleted"))
-    if st.ref_counts.get(rec.key, 0) > 0:
-        out.append(("I1", f"{rec.key} deleted while entries still target it here"))
+    out.extend(("I1", bad) for bad in targeting_faults(st, rec.key))
     for pair in sorted(rec.inref.current()):
         bad = listing_fault(rec, pair)
         if bad:
@@ -525,9 +541,11 @@ class Checker:
     """Runs the invariant clauses during a replay.
 
     ``on_apply``, the world's application hook, checks after each payload
-    only the clauses that payload can falsify; ``on_step``, the replay's step
-    hook, checks refinement; ``scan_deletions`` runs the event-log checks
-    once the trace has been replayed.
+    every clause on a record that payload can falsify, so from a checked
+    start it reports each finding at the application that makes it true
+    (the explorer relies on this); ``on_step``, the replay's step hook,
+    checks refinement; ``scan_deletions`` runs the event-log checks once the
+    trace has been replayed.
     """
 
     def __init__(self):
@@ -544,7 +562,17 @@ class Checker:
                 out = st.objects[target].attrs[p.attr]
                 for e in p.entries:
                     if e.target is not None and e.write_dot in out.entries:
-                        self._bad("I1", st, entry_fault(st, target, p.attr, e))
+                        bad = entry_fault(st, target, p.attr, e)
+                        if bad is None:
+                            continue
+                        trec = st.objects.get(e.target)
+                        if trec is not None and trec.deleted:
+                            # The deleted target is targeted now; that
+                            # clause reports this entry among the others.
+                            for detail in targeting_faults(st, e.target):
+                                self._bad("I1", st, detail)
+                        else:
+                            self._bad("I1", st, bad)
                 if len(out.entries) > 1:
                     self.multivalued = True
             elif kind is InRefAdd:

@@ -215,22 +215,35 @@ class World:
 
         With no ``replica`` every replica state and the event log are
         copied and the copy is independent. With ``replica`` only that state
-        is copied, and the other states and the event log are shared with
-        this world, so neither world may change a shared part afterwards:
-        the copy is only for a step that touches ``states[replica]`` alone,
-        such as a delivery there. Generation needs a full copy, because it
-        enqueues into every other replica's ``pending`` and logs its event.
+        is copied, and the rest is shared (``sharing``): the copy is only
+        for a step that touches ``states[replica]`` alone, such as a
+        delivery there. Generation needs a full copy, because it enqueues
+        into every other replica's ``pending`` and logs its event.
 
         A copied state shares its object records with the original until
         either side changes one (``ReplicaState.clone``), so the cost of a
         copy does not grow with the number of objects.
         """
+        if replica is not None:
+            return self.sharing(replica, self.states[replica].clone())
         w = World.__new__(World)
         w.n = self.n
         w.mode = self.mode
-        w.states = [st.clone() if replica is None or st.rid == replica else st
-                    for st in self.states]
-        w.events = dict(self.events) if replica is None else self.events
+        w.states = [st.clone() for st in self.states]
+        w.events = dict(self.events)
+        w.on_apply = None
+        return w
+
+    def sharing(self, replica: ReplicaId, st: ReplicaState) -> "World":
+        """A world with ``st`` as ``states[replica]`` that shares every other
+        replica state and the event log with this one (hooks are not carried
+        over). Neither world may change a shared part afterwards."""
+        w = World.__new__(World)
+        w.n = self.n
+        w.mode = self.mode
+        w.states = list(self.states)
+        w.states[replica] = st
+        w.events = self.events
         w.on_apply = None
         return w
 
@@ -293,6 +306,15 @@ class World:
             if applied.get(r, 0) < c:
                 return False
         return True
+
+    def next_deliverable(self, st: ReplicaState, origin: ReplicaId):
+        """The key of the message from ``origin`` that ``st`` can apply now,
+        or None. Only one message per origin can be: the next one of the
+        event after the origin's fully applied prefix."""
+        eid = (origin, st.applied_full.get(origin, 0) + 1)
+        key = (eid, st.progress.get(eid, 0))
+        msg = st.pending.get(key)
+        return key if msg is not None and self.deliverable(st.rid, msg) else None
 
     def apply_message(self, replica: ReplicaId, eid: EventId, chain_index: int) -> None:
         """Apply exactly one pending message; it must be deliverable.

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import weakref
 
 import pytest
@@ -14,6 +15,7 @@ from causalrefs.explore import (
     basic_setup,
     exhaustive_explore,
     explore_catalog,
+    reclaim_setup,
 )
 from causalrefs.harness import run_op
 from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, World
@@ -39,6 +41,18 @@ CATALOG_4_RESULTS = {
     2: {"err:MultiValued", "err:NotUnreachable", "err:NullSource", "err:UnreachableTarget", "ok"},
     3: {"err:MultiValued", "err:NotUnreachable", "err:NullSource", "err:TargetCondemned",
         "err:UnreachableTarget", "ok"},
+}
+
+
+# (states, terminals) per mode, and the sha256 of the sorted terminal keys
+# (equal in both modes), of the catalog after ``reclaim_setup``, the scope
+# that reaches deleted records: at 5 events two distinct terminal states
+# hold X deleted.
+RECLAIM_COUNTS = {
+    4: ({PURE_CAUSAL: (12941, 1993), ATOMIC: (7642, 1929)},
+        "56443abfed83e831f22398e69e54a0e0dc54fa442db74fe9c748fd60d0ab5120"),
+    5: ({PURE_CAUSAL: (132133, 15169), ATOMIC: (64949, 14252)},
+        "cdb15dbaf8f6dc1eb897ce1922ca3bf23f58f52b8feb46abc1c79540d52eb4c8"),
 }
 
 
@@ -91,6 +105,35 @@ def test_catalog_programs_up_to_four_events_clean():
         assert rep.results == CATALOG_4_RESULTS
 
 
+def _deleted_terminals(rep):
+    """How many distinct terminal states hold X deleted (replica 0's record;
+    a terminal state is quiescent, so every replica agrees)."""
+    return sum(json.loads(key)[0]["X"]["deleted"] for key in rep.terminal_keys)
+
+
+def _check_reclaim(events):
+    counts, digest = RECLAIM_COUNTS[events]
+    for mode, expected in counts.items():
+        rep = explore_catalog(basic_catalog(), events, replicas=2, mode=mode, setup=reclaim_setup)
+        assert rep.ok
+        assert (rep.states, rep.terminals) == expected
+        terminal = "\n".join(sorted(rep.terminal_keys)).encode()
+        assert hashlib.sha256(terminal).hexdigest() == digest
+        assert "ok" in rep.results[events - 1]
+        yield rep
+
+
+def test_reclaim_setup_four_events():
+    for rep in _check_reclaim(4):
+        assert _deleted_terminals(rep) == 0
+
+
+@pytest.mark.slow
+def test_reclaim_setup_five_events_reaches_deletion():
+    for rep in _check_reclaim(5):
+        assert _deleted_terminals(rep) == 2
+
+
 def test_search_freed_on_return(monkeypatch):
     # Reference counting alone must free a search once its exploration
     # returns: nothing it holds may refer back to it.
@@ -116,7 +159,13 @@ def test_search_freed_on_return(monkeypatch):
 
 
 def _snapshot(world):
-    return world_fingerprint(world), [dict(st.pending) for st in world.states]
+    return world_fingerprint(world), [
+        (dict(st.pending), dict(st.applied_full), dict(st.progress), _observers(st))
+        for st in world.states]
+
+
+def _observers(st):
+    return {key: (q.sup, q.stable, dict(q.snapshot), set(q.confirm)) for key, q in st.queries.items()}
 
 
 @pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
@@ -124,12 +173,14 @@ def test_successor_keys_and_shared_states(monkeypatch, mode):
     # Each successor's derived key must equal the key computed from scratch
     # on a fully copied world that took the same step, and a delivery
     # successor, which shares the unchanged replica states, the object
-    # records and the event log, must leave its parent as it was. At every
+    # records and the event log, must leave its parent as it was. A
+    # delivery successor whose replica state its generation level already
+    # built shares that state, which must equal a fresh build. At every
     # generation attempt, built or not, the outcome table's prediction is
     # checked.
     generate, deliver = explore._Search.generate, explore._Search.deliver
     parents = []
-    table = {"hit_seen": 0, "hit_fresh": 0}
+    table = {"hit_seen": 0, "hit_fresh": 0, "built": 0, "reused": 0}
 
     def checked_generate(search, world, k, sig, replica, op, slot):
         full = world.clone()
@@ -143,27 +194,34 @@ def test_successor_keys_and_shared_states(monkeypatch, mode):
         assert predicted == explore._state_key(k + 1, *search.signature(full))
         if child is not None:
             assert child[1] == search.signature(child[0])
+            assert child[2] == tuple(explore._enabled(full, st) for st in full.states)
         if known:
             table["hit_seen" if child is None else "hit_fresh"] += 1
         return child
 
-    def checked_deliver(search, world, k, sig, replica, mkey):
+    def checked_deliver(search, world, k, sig, replica, mkey, enabled):
         full = world.clone()
         full.apply_message(replica, *mkey)
-        derived = explore._state_key(k, *search.delivered(world, sig, replica, mkey))
+        new_sig = search.delivered(world, sig, replica, mkey)
+        derived = explore._state_key(k, *new_sig)
         assert derived == explore._state_key(k, *search.signature(full))
         before = _snapshot(world)
         targets = {t for t, _p in world.states[replica].pending[mkey].items}
-        child = deliver(search, world, k, sig, replica, mkey)
+        reused = (replica, new_sig[1][replica]) in search.levels[-1]
+        child = deliver(search, world, k, sig, replica, mkey, enabled)
         if child is not None:
             assert _snapshot(world) == before
             parents.append((world, before))
+            assert _snapshot(child[0]) == _snapshot(full)
+            assert child[2] == tuple(explore._enabled(full, st) for st in full.states)
             for r, st in enumerate(child[0].states):
                 assert (st is world.states[r]) == (r != replica)
             assert child[0].events is world.events
-            old = world.states[replica].objects
-            for key, rec in child[0].states[replica].objects.items():
-                assert (rec is old.get(key)) == (key not in targets), key
+            table["reused" if reused else "built"] += 1
+            if not reused:
+                old = world.states[replica].objects
+                for key, rec in child[0].states[replica].objects.items():
+                    assert (rec is old.get(key)) == (key not in targets), key
         return child
 
     monkeypatch.setattr(explore._Search, "generate", checked_generate)
@@ -171,9 +229,99 @@ def test_successor_keys_and_shared_states(monkeypatch, mode):
     rep = explore_catalog(basic_catalog(), 2, replicas=2, mode=mode, setup=basic_setup)
     assert rep.ok and parents
     assert table["hit_seen"] and table["hit_fresh"]
+    assert table["built"] and table["reused"]
     # Every subtree has been explored by now.
     for world, before in parents:
         assert _snapshot(world) == before
+
+
+# The catalog of the key-soundness probes: with ``reclaim_setup``, replica
+# 1 may reference X before announcing, so announcements from two replicas
+# can disagree and reach a third one in either order; and an event may or
+# may not depend on another origin's.
+PROBE_CATALOG = [
+    OpCall("init", {"source": "A", "attr": "a", "target": "X"}),
+    OpCall("announce", {}),
+]
+# With ``basic_setup``.
+PROBE_BASIC_CATALOG = [
+    OpCall("delete", {"target": "X", "last": []}),
+    OpCall("assign_null", {"source": "A", "attr": "a"}),
+    OpCall("announce", {}),
+]
+
+
+def _behind_key(world):
+    """Everything a later step can read of ``world``: each replica's
+    records, pending messages, detector observers, pledges and counters,
+    and, per event and replica that has yet to apply it, the dependencies
+    that replica waits for (not its own, nor the event's origin's, which
+    arrive in sequence order anyway)."""
+    replicas = tuple(
+        (canon_objects(st), tuple(sorted(st.pending)),
+         tuple(sorted(((t, tuple(sorted(last))), tuple(sorted(q.snapshot.items(), key=repr)),
+                       repr(q.sup), tuple(sorted(q.confirm)), q.stable)
+                      for (t, last), q in st.queries.items())),
+         tuple(sorted(st.condemned)), tuple(sorted(st.created_here)), st.next_ref, st.next_dot)
+        for st in world.states)
+    waits = tuple(sorted(
+        (eid, r, tuple(sorted((p, c) for p, c in ev.deps.items() if p not in (r, ev.replica))))
+        for eid, ev in world.events.items() for r in range(world.n) if r != ev.replica))
+    return replicas, waits
+
+
+def _differing_keys(monkeypatch, catalog, events, replicas, setup):
+    """Explore with every successor built, those whose key was already
+    seen too, and count the keys behind which two built worlds differ
+    (``_behind_key``). Each delivery successor the search returns must
+    equal the fresh build."""
+    generate, deliver = explore._Search.generate, explore._Search.deliver
+    first = {}
+    differing = set()
+
+    def note(key, world):
+        if first.setdefault(key, _behind_key(world)) != _behind_key(world):
+            differing.add(key)
+
+    def probing_generate(search, world, k, sig, replica, op, slot):
+        full = world.clone()
+        run_op(full, replica, op)
+        child = generate(search, world, k, sig, replica, op, slot)
+        outcome = search.outcomes[search.outcome_key(world, sig, replica, slot)]
+        note(explore._state_key(k + 1, *search.successor(world, sig, replica, outcome)), full)
+        return child
+
+    def probing_deliver(search, world, k, sig, replica, mkey, enabled):
+        full = world.clone()
+        full.apply_message(replica, *mkey)
+        note(explore._state_key(k, *search.delivered(world, sig, replica, mkey)), full)
+        child = deliver(search, world, k, sig, replica, mkey, enabled)
+        # A successor sharing a replica state its level built is a fresh
+        # build too.
+        assert child is None or _behind_key(child[0]) == _behind_key(full)
+        return child
+
+    with monkeypatch.context() as m:
+        m.setattr(explore._Search, "generate", probing_generate)
+        m.setattr(explore._Search, "deliver", probing_deliver)
+        rep = explore_catalog(catalog, events, replicas=replicas, setup=setup)
+    assert rep.ok and len(first) == rep.states - 1
+    return len(differing)
+
+
+def test_equal_keys_hold_equal_states(monkeypatch):
+    # The key is sound: every world reached under an already seen key
+    # equals the first one reached under it, in everything a later step
+    # can read. At 3 replicas this needs the order in which a replica
+    # applied announcements from different origins (48 keys differ without
+    # it here) and each event's dependencies on other origins (180).
+    assert _differing_keys(monkeypatch, PROBE_CATALOG, 3, 3, reclaim_setup) == 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("replicas,events", [(3, 3), (2, 4)])
+def test_equal_keys_hold_equal_states_basic_setup(monkeypatch, replicas, events):
+    assert _differing_keys(monkeypatch, PROBE_BASIC_CATALOG, events, replicas, basic_setup) == 0
 
 
 def _payload_world():
@@ -303,9 +451,9 @@ def _explore_records(monkeypatch, prog, mode, replicas=2):
     visited = set()
     visit = explore._Search.visit
 
-    def collecting(search, world, replica, stable_seen, enabled):
+    def collecting(search, world, stable_seen):
         visited.update(_record_states(world))
-        return visit(search, world, replica, stable_seen, enabled)
+        return visit(search, world, stable_seen)
 
     with monkeypatch.context() as m:
         m.setattr(explore._Search, "visit", collecting)

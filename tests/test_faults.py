@@ -16,22 +16,27 @@ Each fault is put in with monkeypatch for one test only:
 The two chain faults only reorder the payloads of one chain. In atomic mode
 a chain is one message, applied whole before any check runs, so they change
 nothing there (``test_chain_faults_change_nothing_in_atomic_mode``). The
-explorer misses the missing pledge within three events; the campaign
-catches it.
+explorer misses the missing pledge within three events of ``basic_setup``
+and catches it within four of ``reclaim_setup``; the campaign catches it.
 """
 
 import pytest
 
 from causalrefs import explore, ops, refs, stability
-from causalrefs.explore import basic_catalog, basic_setup, explore_catalog
+from causalrefs.explore import basic_catalog, basic_setup, explore_catalog, reclaim_setup
 from causalrefs.harness import (
+    Checker,
     GenStep,
     InvariantReport,
     Trace,
     TraceConfig,
     check_invariants,
+    deleted_faults,
+    entry_fault,
     execution_seed,
     random_execution,
+    removal_fault,
+    replay,
 )
 from causalrefs.model import ATOMIC, PURE_CAUSAL
 from causalrefs.scenarios import run_fig1
@@ -70,6 +75,10 @@ def no_pledge(monkeypatch):
         return chain
 
     monkeypatch.setitem(ops.GENERATORS, "announce", mutant)
+
+
+def no_detection(monkeypatch):
+    monkeypatch.setattr(stability, "may_delete", lambda world, replica, target, last: True)
 
 
 def mark_deleted_first(monkeypatch):
@@ -191,6 +200,16 @@ def test_explorer_findings_of_chain_fault_pinned(monkeypatch, fault):
     assert explorer_findings(PURE_CAUSAL) == CHAIN_FAULT_FINDINGS[fault]
 
 
+@pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
+def test_explorer_catches_no_pledge_after_reclaim_setup(monkeypatch, mode):
+    # With X's query registered before the search, announcements alone
+    # make X stable; without the pledge a replica then references it anew.
+    no_pledge(monkeypatch)
+    report = explore_catalog(basic_catalog(), 4, replicas=2, mode=mode, setup=reclaim_setup)
+    assert set(report.violations) == {f"refinement at replica {r}: stably X but oracle disagrees"
+                                      for r in (0, 1)}
+
+
 @pytest.mark.parametrize("fault", CHAIN_FAULTS)
 def test_chain_faults_change_nothing_in_atomic_mode(monkeypatch, fault):
     put_in, seed, _invariants = FAULTS[fault]
@@ -199,20 +218,91 @@ def test_chain_faults_change_nothing_in_atomic_mode(monkeypatch, fault):
     assert explorer_violations(ATOMIC) == set()
 
 
-@pytest.mark.parametrize("fault", CHAIN_FAULTS)
+def _scan(st) -> set:
+    """Every record clause on every record of replica state ``st``, as
+    (invariant, detail) pairs."""
+    found = set()
+    for key, rec in st.objects.items():
+        for pair in rec.inref.removed:
+            if (bad := removal_fault(rec, pair)) is not None:
+                found.add(("I4", bad))
+        if rec.deleted:
+            found.update(deleted_faults(st, rec))
+        for attr, outref in rec.attrs.items():
+            for e in outref.entries.values():
+                if e.target is not None and (bad := entry_fault(st, key, attr, e)) is not None:
+                    found.add(("I1", bad))
+    return found
+
+
+def _record_findings(world) -> set:
+    """``_scan`` of every replica of ``world``, worded as the explorer
+    words a finding."""
+    return {f"{invariant} at replica {st.rid}: {bad}" for st in world.states for invariant, bad in _scan(st)}
+
+
+@pytest.mark.parametrize("fault", ["forward_creation", "backward_retirement", "no_detection",
+                                   "mark_deleted_first"])
+def test_checker_reports_each_finding_where_it_becomes_true(monkeypatch, fault):
+    # What the explorer's record checks rest on: from an empty world, every
+    # finding a full scan of a replica state has after an application, and
+    # not before it, is among those ``Checker.on_apply`` reports for that
+    # application.
+    {"forward_creation": forward_creation, "backward_retirement": backward_retirement,
+     "no_detection": no_detection, "mark_deleted_first": mark_deleted_first}[fault](monkeypatch)
+    checker = Checker()
+    before: dict = {}
+    fresh = 0
+
+    def on_apply(world, st, msg):
+        nonlocal fresh
+        checker.violations.clear()
+        checker.on_apply(world, st, msg)
+        now = _scan(st)
+        new = now - before.get(st.rid, set())
+        assert new <= {(v.invariant, v.detail) for v in checker.violations}, msg
+        fresh += len(new)
+        before[st.rid] = now
+
+    for i in range(20):
+        before.clear()
+        trace = random_execution(execution_seed(3, i), TraceConfig(replicas=2, events=60))
+        replay(trace, on_apply=on_apply)
+    assert fresh
+
+
+@pytest.mark.parametrize("fault", CHAIN_FAULTS + ["no_detection"])
 def test_explorer_checks_of_changed_replica_find_everything(monkeypatch, fault):
-    # The explorer checks only the replica state a step changed, the others
-    # being its parent's; checking every replica at every state must find
-    # nothing more.
-    FAULTS[fault][0](monkeypatch)
-    changed = explorer_findings(PURE_CAUSAL)
-    check_state = explore._check_state
-    monkeypatch.setattr(explore, "_check_state", lambda world, replica=None: check_state(world))
-    assert changed and explorer_findings(PURE_CAUSAL) == changed
+    # The explorer checks the record clauses only on the replica state a
+    # step changed, and only where the step's payloads apply; a scan of
+    # every record of every replica at every visited state must find
+    # exactly the same. With ``reclaim_setup`` X starts unreferenced, so
+    # only a write after its delete can target it.
+    (no_detection if fault == "no_detection" else FAULTS[fault][0])(monkeypatch)
+    visit = explore._Search.visit
+    findings = 0
+    for explore_scope in (
+        lambda: explore_catalog(basic_catalog(), 2, replicas=2, setup=basic_setup),
+        lambda: explore_catalog(basic_catalog(), 2, replicas=2, setup=reclaim_setup),
+        run_fig1,
+    ):
+        scanned = set()
+
+        def scanning(search, world, stable_seen):
+            scanned.update(_record_findings(world))
+            return visit(search, world, stable_seen)
+
+        with monkeypatch.context() as m:
+            m.setattr(explore._Search, "visit", scanning)
+            report = explore_scope()
+        found = {v for v in report.violations if " at replica " in v and not v.startswith("refinement")}
+        assert found == scanned
+        findings += len(found)
+    assert findings
 
 
 @pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
 def test_fig1_catches_delete_without_detection(monkeypatch, mode):
-    monkeypatch.setattr(stability, "may_delete", lambda world, replica, target, last: True)
+    no_detection(monkeypatch)
     found = [v for v in run_fig1(mode).violations if v.startswith("fig1:")]
     assert len(found) == 1, found

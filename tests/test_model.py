@@ -128,6 +128,26 @@ class TestDelivery:
         w.quiesce()
         assert world_fingerprint(w) == world_fingerprint(World(2))
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_only_the_next_message_per_origin_can_be_deliverable(self, mode):
+        # ``next_deliverable`` looks at one message per origin; after every
+        # application, at every replica, it must name exactly the pending
+        # messages ``deliverable`` accepts.
+        checked = 0
+
+        def on_apply(world, st, msg):
+            nonlocal checked
+            for other in world.states:
+                scanned = [key for key in sorted(other.pending)
+                           if world.deliverable(other.rid, other.pending[key])]
+                heads = [world.next_deliverable(other, origin) for origin in range(world.n)]
+                assert [key for key in heads if key is not None] == scanned
+                checked += len(scanned)
+
+        for i in range(20):
+            replay(random_execution(execution_seed(4, i), TraceConfig(3, 20, mode)), on_apply=on_apply)
+        assert checked
+
 
 class TestAtomicMode:
     def test_chain_fused_into_single_message(self):
@@ -207,12 +227,12 @@ class TestClock:
         visit = explore._Search.visit
         states = 0
 
-        def checked_visit(search, world, replica, stable_seen, enabled):
+        def checked_visit(search, world, stable_seen):
             nonlocal states
             states += 1
             for st in world.states:
                 assert_clock_derived(world, st)
-            return visit(search, world, replica, stable_seen, enabled)
+            return visit(search, world, stable_seen)
 
         monkeypatch.setattr(explore._Search, "visit", checked_visit)
         rep = explore_catalog(basic_catalog(), 2, replicas=2, mode=mode, setup=basic_setup)
