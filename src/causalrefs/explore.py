@@ -83,8 +83,8 @@ from .harness import (
     run_op,
 )
 from .model import OpCall, PURE_CAUSAL, SimulatorError, World
-from .refs import MarkDeleted
-from .stability import ClockAnnounce, oracle_stable
+from .ops import ORDER_SENSITIVE
+from .stability import oracle_stable
 
 DEFAULT_BOUND = 5
 
@@ -127,9 +127,8 @@ def _delivery_sig(st, order: tuple = ()) -> tuple:
 
 def _order_sensitive(msg) -> bool:
     """Whether ``msg``'s effect at a replica depends on the order in which it
-    and the messages of other origins apply there."""
-    return any(type(p) is MarkDeleted or (type(p) is ClockAnnounce and p.reports)
-               for _target, p in msg.items)
+    and the messages of other origins apply there (``ops.ORDER_SENSITIVE``)."""
+    return any(ORDER_SENSITIVE[type(p)](p) for _target, p in msg.items)
 
 
 def _check_state(checker: Checker, world: World, st, messages) -> list:
@@ -176,9 +175,8 @@ def _check_terminal(world: World) -> list:
 
 def _enabled(world: World, st) -> tuple:
     """The keys of ``st``'s pending messages that are deliverable now, in
-    key order: at most one per origin."""
-    return tuple(key for origin in range(world.n)
-                 if (key := world.next_deliverable(st, origin)) is not None)
+    key order."""
+    return tuple(mkey for mkey in sorted(st.pending) if world.deliverable(st.rid, st.pending[mkey]))
 
 
 class _Search:

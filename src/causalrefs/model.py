@@ -307,15 +307,6 @@ class World:
                 return False
         return True
 
-    def next_deliverable(self, st: ReplicaState, origin: ReplicaId):
-        """The key of the message from ``origin`` that ``st`` can apply now,
-        or None. Only one message per origin can be: the next one of the
-        event after the origin's fully applied prefix."""
-        eid = (origin, st.applied_full.get(origin, 0) + 1)
-        key = (eid, st.progress.get(eid, 0))
-        msg = st.pending.get(key)
-        return key if msg is not None and self.deliverable(st.rid, msg) else None
-
     def apply_message(self, replica: ReplicaId, eid: EventId, chain_index: int) -> None:
         """Apply exactly one pending message; it must be deliverable.
 

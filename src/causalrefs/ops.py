@@ -31,6 +31,23 @@ APPLIERS = {
     stability.ClockAnnounce: stability.apply_clock_announce,
 }
 
+# For each payload type, whether a payload's effect at a replica depends on
+# the order in which it and the payloads of other origins apply there. A
+# mark-deleted payload overwrites the record's ``last_refs_at_delete``, and an
+# announcement's reports update the replica's detector observers in arrival
+# order; every other applier commutes across origins. The explorer's state
+# key records the order of the payloads this says True for
+# (``explore._order_sensitive``), so every type in APPLIERS is listed here.
+ORDER_SENSITIVE = {
+    refs.ObjectCreate: lambda p: False,
+    refs.InRefAdd: lambda p: False,
+    refs.InRefRemove: lambda p: False,
+    refs.OutRefSet: lambda p: False,
+    refs.MarkDeleted: lambda p: True,
+    stability.QueryRegister: lambda p: False,
+    stability.ClockAnnounce: lambda p: bool(p.reports),
+}
+
 # Arguments each kind reads unconditionally. Optional ones: ``root`` and
 # ``attrs`` (create), ``last`` (delete, may_delete; defaults to "auto").
 REQUIRED_ARGS = {

@@ -19,7 +19,7 @@ from causalrefs.explore import (
 )
 from causalrefs.harness import run_op
 from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, World
-from causalrefs.ops import APPLIERS
+from causalrefs.ops import APPLIERS, ORDER_SENSITIVE
 from causalrefs.refs import InRefAdd, InRefRemove, MarkDeleted, ObjectCreate, OutRefEntry, OutRefSet
 from causalrefs.stability import ClockAnnounce, QueryRegister, Report
 
@@ -373,6 +373,35 @@ def test_clone_independent_for_every_payload_kind(partial, change_copy):
         assert _replica_snapshot(other) == before, payload
         kinds.add(type(payload))
     assert kinds == set(APPLIERS)
+
+
+def test_order_insensitive_payloads_commute():
+    # The state key records the order of the payloads ``ORDER_SENSITIVE``
+    # says True for, and no other. So every payload type must be listed,
+    # and a payload it says False for must commute with every other one.
+    # A second mark-deleted and a second announcement with reports, from
+    # another announcer, show that those two do not commute.
+    assert set(ORDER_SENSITIVE) == set(APPLIERS)
+    world = _payload_world()
+    held = world.states[0].objects["A"].attrs["a"].non_null()[0].ref
+    payloads = _payloads(world) + [
+        ("X", MarkDeleted(frozenset({held}))),
+        (None, ClockAnnounce(0, ((0, 9), (1, 3)), (Report("X", frozenset(), False),))),
+    ]
+    sensitive = 0
+    for i, first in enumerate(payloads):
+        for second in payloads[i + 1:]:
+            finals = []
+            for order in ((first, second), (second, first)):
+                world = _payload_world()
+                for target, payload in order:
+                    APPLIERS[type(payload)](world, world.states[0], target, payload)
+                finals.append(_replica_snapshot(world))
+            if all(ORDER_SENSITIVE[type(p)](p) for _target, p in (first, second)):
+                sensitive += finals[0] != finals[1]
+            else:
+                assert finals[0] == finals[1], (first, second)
+    assert sensitive == 2
 
 
 @pytest.mark.parametrize("prog", [

@@ -128,26 +128,6 @@ class TestDelivery:
         w.quiesce()
         assert world_fingerprint(w) == world_fingerprint(World(2))
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_only_the_next_message_per_origin_can_be_deliverable(self, mode):
-        # ``next_deliverable`` looks at one message per origin; after every
-        # application, at every replica, it must name exactly the pending
-        # messages ``deliverable`` accepts.
-        checked = 0
-
-        def on_apply(world, st, msg):
-            nonlocal checked
-            for other in world.states:
-                scanned = [key for key in sorted(other.pending)
-                           if world.deliverable(other.rid, other.pending[key])]
-                heads = [world.next_deliverable(other, origin) for origin in range(world.n)]
-                assert [key for key in heads if key is not None] == scanned
-                checked += len(scanned)
-
-        for i in range(20):
-            replay(random_execution(execution_seed(4, i), TraceConfig(3, 20, mode)), on_apply=on_apply)
-        assert checked
-
 
 class TestAtomicMode:
     def test_chain_fused_into_single_message(self):
