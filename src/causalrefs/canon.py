@@ -6,8 +6,10 @@ gives for ``doc`` = {key: {"attrs": {attr: {"entries": [[target, ref,
 write dot], ...], "retired": [dot, ...]}}, "deleted": bool, "inref":
 {"added": [[source, ref], ...], "removed": [...]}, "last": [ref, ...],
 "root": bool}}, with every list sorted. Two replica states are equal iff
-their texts are. It serves the convergence comparison (I5) and the
-explorer's terminal keys.
+their texts are. It serves the explorer's terminal keys, which must hash
+and be kept; the convergence comparison (I5) only asks whether two states
+are equal, which ``same_objects`` decides field by field without building
+text.
 
 The text is built from per-record text, and each record caches its own in
 its ``canon`` slot. The cache stays valid because every change to a record
@@ -69,3 +71,26 @@ def _record(rec: ObjectRecord) -> str:
 def canon_objects(st: ReplicaState) -> str:
     objects = st.objects
     return "{" + ",".join([f"{_quote(k)}:{_record(objects[k])}" for k in sorted(objects)]) + "}"
+
+
+def same_objects(a: ReplicaState, b: ReplicaState) -> bool:
+    """Whether ``canon_objects(a) == canon_objects(b)``, decided on the
+    records themselves: the same keys, and for each key the same root and
+    deleted flags, ignore-set, listing sets, attribute names, and per
+    attribute the same entries and retired dots. An entry is stored under
+    its write dot, so equal entry dicts are equal sorted entry lists."""
+    oa, ob = a.objects, b.objects
+    if oa.keys() != ob.keys():
+        return False
+    for key, ra in oa.items():
+        rb = ob[key]
+        if (ra.root != rb.root or ra.deleted != rb.deleted
+                or ra.last_refs_at_delete != rb.last_refs_at_delete
+                or ra.inref.added != rb.inref.added or ra.inref.removed != rb.inref.removed
+                or ra.attrs.keys() != rb.attrs.keys()):
+            return False
+        for attr, out in ra.attrs.items():
+            other = rb.attrs[attr]
+            if out.entries != other.entries or out.retired != other.retired:
+                return False
+    return True

@@ -130,9 +130,12 @@ def cmd_explore(events, catalog, replicas, mode):
     if report.ok:
         click.echo("all invariants hold in every reachable state")
         sys.exit(0)
-    for v in report.violations[:20]:
+    # The search reports a finding again at each state it is reached from,
+    # so only the distinct findings, in first-seen order, say what it found.
+    distinct = list(dict.fromkeys(report.violations))
+    for v in distinct[:20]:
         click.echo(f"violation: {v}")
-    click.echo(f"total violations: {len(report.violations)}")
+    click.echo(f"distinct violations: {len(distinct)}")
     sys.exit(1)
 
 

@@ -195,7 +195,7 @@ class _Search:
     For the same reason a record's cached canonical text stays valid in
     every world that shares the record: a successor that changes it
     changes a copy, which starts without text. So each record's text is
-    built once, however many terminal keys and I5 checks read it.
+    built once, however many terminal keys read it.
 
     A generator reads only its replica's state, which, like the whole state
     behind the key, is a function of the events applied there and of the

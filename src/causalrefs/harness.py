@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 
 from . import stability
-from .canon import canon_objects
+# ``canon_objects`` is bound here, unused, because perfbench/tracing.py
+# wraps it under this name too.
+from .canon import canon_objects, same_objects  # noqa: F401
 from .model import (
     MODES,
     PURE_CAUSAL,
@@ -198,11 +200,52 @@ def _deliver_all(world: World, replica: int, steps: list, eid_labels: dict) -> N
         steps.append(DeliverStep(replica, eid_labels[eid], idx))
 
 
-def _draw_args(rng: random.Random, world: World, replica: int, kind: str, next_keys: list):
-    st = world.states[replica]
-    keys = list(st.objects)
-    live = [k for k in keys if not st.objects[k].deleted]
-    with_attrs = [k for k in live if st.objects[k].attrs]
+class DrawView:
+    """What the generator draws an event's arguments from: replica state
+    ``st``'s object keys, its live keys and its live keys with attributes,
+    each in ``st.objects`` order. Built once per event, after the event's
+    deliveries; no draw changes ``st``, so every attempt reads the same
+    view."""
+
+    __slots__ = ("st", "keys", "live", "with_attrs")
+
+    def __init__(self, st):
+        self.st = st
+        self.keys = list(st.objects)
+        self.live = live = []
+        self.with_attrs = with_attrs = []
+        for key, rec in st.objects.items():
+            if not rec.deleted:
+                live.append(key)
+                if rec.attrs:
+                    with_attrs.append(key)
+
+    def mintable(self) -> list:
+        """The live keys a new reference may target here, by the test of
+        ``refs._check_target_mintable`` without its pledge clause."""
+        st = self.st
+        return [k for k in self.live
+                if st.objects[k].root or k in st.created_here or st.ref_counts.get(k, 0) > 0]
+
+    def assign_pools(self) -> tuple:
+        """The (key, attr) pairs of the live keys with attributes,
+        attributes in name order, that hold exactly one entry, which is
+        not NULL (assignable), and those that hold an entry (written)."""
+        objects = self.st.objects
+        assignable, written = [], []
+        for k in self.with_attrs:
+            for a, out in sorted(objects[k].attrs.items()):
+                entries = out.entries
+                if entries:
+                    written.append((k, a))
+                    if len(entries) == 1 and next(iter(entries.values())).target is not None:
+                        assignable.append((k, a))
+        return assignable, written
+
+
+def _draw_args(rng: random.Random, view: DrawView, replica: int, kind: str, next_keys: list):
+    st = view.st
+    keys, live, with_attrs = view.keys, view.live, view.with_attrs
 
     def pick_attr(key):
         return rng.choice(sorted(st.objects[key].attrs))
@@ -220,10 +263,7 @@ def _draw_args(rng: random.Random, world: World, replica: int, kind: str, next_k
         source = rng.choice(with_attrs)
         # Mostly target something plausibly reachable here so inits succeed
         # often enough to build interesting graphs.
-        mintable = [
-            k for k in live
-            if st.objects[k].root or k in st.created_here or st.ref_counts.get(k, 0) > 0
-        ]
+        mintable = view.mintable()
         pool = mintable if mintable and rng.random() < 0.8 else keys
         return {"source": source, "attr": pick_attr(source), "target": rng.choice(pool)}
     if kind == "assign":
@@ -233,20 +273,12 @@ def _draw_args(rng: random.Random, world: World, replica: int, kind: str, next_k
         # non-NULL) and often overwrite an attribute that already holds a
         # value; that is where concurrent assignments (multi-valued
         # registers) come from.
-        assignable = [
-            (k, a) for k in with_attrs
-            for a, out in sorted(st.objects[k].attrs.items())
-            if len(out.entries) == 1 and out.non_null()
-        ]
+        assignable, written = view.assign_pools()
         if assignable and rng.random() < 0.8:
             src, src_attr = rng.choice(assignable)
         else:
             src = rng.choice(with_attrs)
             src_attr = pick_attr(src)
-        written = [
-            (k, a) for k in with_attrs
-            for a, out in sorted(st.objects[k].attrs.items()) if out.entries
-        ]
         if written and rng.random() < 0.6:
             dst, dst_attr = rng.choice(written)
         else:
@@ -284,8 +316,10 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
     eid_labels: dict = {}
     next_keys = [0] * config.replicas  # numbers the next create at each replica
     successes: list[Event] = []
+    # Each mix's kinds and cumulative weights are fixed for the execution;
+    # ``rng.choices`` given them draws exactly as given the weights.
     kinds = sorted(config.weights)
-    weights = [config.weights[k] for k in kinds]
+    cum_weights = list(accumulate(config.weights[k] for k in kinds))
 
     # Some traces end in a reclamation phase: gossip- and deletion-heavy
     # drawing with frequent sync points, so termination detection can
@@ -295,6 +329,8 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
         "create": 0.5, "init": 1, "assign": 1, "assign_null": 3,
         "invoke": 0.5, "may_delete": 3, "delete": 3, "announce": 30,
     }
+    reclaim_kinds = sorted(reclaim_weights)
+    reclaim_cum_weights = list(accumulate(reclaim_weights[k] for k in reclaim_kinds))
 
     for i in range(config.events):
         reclaiming = reclaim_from is not None and i >= reclaim_from
@@ -312,31 +348,31 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
                 upto = rng.randint(0, len(ev.chain))
                 _deliver_prefix(world, replica, ev.id, upto, steps, eid_labels)
         op = None
+        st = world.states[replica]
+        view = DrawView(st)
         if reclaiming:
-            draw_kinds = sorted(reclaim_weights)
-            draw_weights = [reclaim_weights[k] for k in draw_kinds]
-            st = world.states[replica]
-            ripe = [
-                t for (t, _last), q in sorted(st.queries.items(), key=lambda kv: kv[0][0])
-                if q.stable and t in st.objects
-                and not st.objects[t].deleted and not st.objects[t].root
-            ]
-            if ripe:
-                op = OpCall("delete", {"target": ripe[0], "last": "auto"})
+            draw_kinds, draw_cum_weights = reclaim_kinds, reclaim_cum_weights
+            # The first target, by name, of a stable query that is live
+            # and not a root here.
+            ripe = min((t for (t, _last), q in st.queries.items()
+                        if q.stable and t in st.objects
+                        and not st.objects[t].deleted and not st.objects[t].root), default=None)
+            if ripe is not None:
+                op = OpCall("delete", {"target": ripe, "last": "auto"})
             elif i == reclaim_from:
-                args = _draw_args(rng, world, replica, "may_delete", next_keys)
+                args = _draw_args(rng, view, replica, "may_delete", next_keys)
                 if args is not None:
                     op = OpCall("may_delete", args)
         else:
-            draw_kinds, draw_weights = kinds, weights
+            draw_kinds, draw_cum_weights = kinds, cum_weights
         for _ in range(8):
-            kind = rng.choices(draw_kinds, draw_weights)[0]
-            args = _draw_args(rng, world, replica, kind, next_keys)
+            kind = rng.choices(draw_kinds, cum_weights=draw_cum_weights)[0]
+            args = _draw_args(rng, view, replica, kind, next_keys)
             if args is not None:
                 op = OpCall(kind, args)
                 break
         if op is None:
-            op = OpCall("create", _draw_args(rng, world, replica, "create", next_keys))
+            op = OpCall("create", _draw_args(rng, view, replica, "create", next_keys))
         label = f"g{i}"
         result, spawned = run_op(world, replica, op)
         for j, ev in enumerate(spawned):
@@ -408,7 +444,7 @@ def entry_fault(st, key: str, attr: str, e):
     trec = st.objects.get(e.target)
     if trec is None or trec.deleted:
         return f"{key}.{attr} references deleted/missing {e.target}"
-    if (key, e.ref) not in trec.inref.current():
+    if not trec.inref.lists((key, e.ref)):
         return f"({key},{e.ref}) missing from listing of {e.target}"
     return None
 
@@ -512,9 +548,9 @@ def refinement_fault(world: World, key):
 
 def diverging_replicas(world: World) -> list:
     """I5 at a quiesced ``world``: the replicas whose object state differs
-    from replica 0's, compared by canonical text."""
-    canons = [canon_objects(st) for st in world.states]
-    return [r for r in range(1, world.n) if canons[r] != canons[0]]
+    from replica 0's (``canon.same_objects``)."""
+    st0 = world.states[0]
+    return [r for r in range(1, world.n) if not same_objects(world.states[r], st0)]
 
 
 def listing_mismatches(st) -> list:

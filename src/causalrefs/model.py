@@ -53,7 +53,10 @@ class PreconditionFailure(Exception):
 # Vector clocks: plain dicts replica -> event count, absent entry reads as 0.
 
 def vc_leq(a: dict, b: dict) -> bool:
-    return all(b.get(r, 0) >= c for r, c in a.items())
+    for r, c in a.items():
+        if b.get(r, 0) < c:
+            return False
+    return True
 
 
 def vc_geq(a: dict, b: dict) -> bool:

@@ -83,6 +83,19 @@ class InRef:
     def current(self) -> set[tuple[str, RefId]]:
         return self.added - self.removed
 
+    def lists(self, pair: tuple[str, RefId]) -> bool:
+        """Whether ``pair`` is in ``current()``, without building it."""
+        return pair in self.added and pair not in self.removed
+
+    def refs_within(self, refs) -> bool:
+        """Whether every listed pair's reference is in ``refs``, without
+        building ``current()``."""
+        removed = self.removed
+        for pair in self.added:
+            if pair[1] not in refs and pair not in removed:
+                return False
+        return True
+
     def clone(self) -> "InRef":
         ir = InRef()
         ir.added = set(self.added)

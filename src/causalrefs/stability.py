@@ -113,7 +113,7 @@ def _condition_holds(st: ReplicaState, target: str, last: frozenset) -> bool:
     rec = st.objects.get(target)
     if rec is None:
         return False
-    return {r for _s, r in rec.inref.current()} <= last
+    return rec.inref.refs_within(last)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def oracle_stable(world: World, target: str, last: frozenset) -> bool:
     entry to scan."""
     for st in world.states:
         rec = st.objects.get(target)
-        if rec is not None and not {r for _s, r in rec.inref.current()} <= last:
+        if rec is not None and not rec.inref.refs_within(last):
             return False
     for st in world.states:
         if st.ref_counts.get(target, 0) == 0:

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from causalrefs import cli, explore, harness, tracefile
+from causalrefs import cli, explore, harness, stability, tracefile
 from causalrefs.cli import main
 from causalrefs.dot import snapshot_dot
 from causalrefs.harness import MAX_EVENTS, MAX_REPLICAS, TraceConfig, random_execution, replay
@@ -151,6 +151,20 @@ class TestExplore:
         res = invoke("explore", "--events", "2")
         assert res.exit_code == 0, res.output
         assert "all invariants hold in every reachable state" in res.output
+
+    def test_violations_counted_once_each(self, monkeypatch):
+        # With no stability detection a delete succeeds at once; the search
+        # reaches each finding from many states and reports it each time.
+        monkeypatch.setattr(stability, "may_delete", lambda world, replica, target, last: True)
+        reports = explore.explore_catalog(explore.basic_catalog(), 2, setup=explore.basic_setup).violations
+        distinct = list(dict.fromkeys(reports))
+        assert len(reports) > len(distinct) > 1
+        res = invoke("explore", "--events", "2")
+        assert res.exit_code == 1, res.output
+        listed = [line.removeprefix("violation: ") for line in res.output.splitlines()
+                  if line.startswith("violation: ")]
+        assert listed == distinct[:20]
+        assert res.output.splitlines()[-1] == f"distinct violations: {len(distinct)}"
 
     def test_bound_exceeded_exit_two(self):
         res = invoke("explore", "--events", "9")

@@ -1,6 +1,7 @@
 import pytest
 
 from canon_reference import world_fingerprint
+from causalrefs import harness
 from causalrefs.harness import (
     ConfigInvalid,
     DeliverStep,
@@ -17,7 +18,7 @@ from causalrefs.harness import (
     shrink,
 )
 from causalrefs.harness import ReplayMismatch
-from causalrefs.model import ATOMIC, OpCall, World
+from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, World
 
 
 class TestConfig:
@@ -83,6 +84,51 @@ class TestRandomExecution:
                 1 for s in tr.steps
                 if isinstance(s, GenStep) and s.op.kind == "delete" and s.result == "ok")
         assert deletes > 0
+
+
+def reference_pools(st) -> dict:
+    """The lists the generator draws from, computed from scratch at every
+    draw as ``_draw_args`` once did, to pin ``harness.DrawView``."""
+    keys = list(st.objects)
+    live = [k for k in keys if not st.objects[k].deleted]
+    with_attrs = [k for k in live if st.objects[k].attrs]
+    return {
+        "keys": keys,
+        "live": live,
+        "with_attrs": with_attrs,
+        "mintable": [k for k in live
+                     if st.objects[k].root or k in st.created_here or st.ref_counts.get(k, 0) > 0],
+        "assignable": [(k, a) for k in with_attrs for a, out in sorted(st.objects[k].attrs.items())
+                       if len(out.entries) == 1 and out.non_null()],
+        "written": [(k, a) for k in with_attrs for a, out in sorted(st.objects[k].attrs.items())
+                    if out.entries],
+    }
+
+
+@pytest.mark.parametrize("replicas,events,traces,mode", [
+    (3, 20, 100, PURE_CAUSAL), (3, 20, 100, ATOMIC), (5, 320, 3, PURE_CAUSAL)])
+def test_draw_view_matches_reference(monkeypatch, replicas, events, traces, mode):
+    # At every draw, the view built once for the event still equals the
+    # lists computed from the replica state as it is then.
+    draw = harness._draw_args
+    differing = draws = 0
+
+    def checked(rng, view, replica, kind, next_keys):
+        nonlocal differing, draws
+        assert view.st.rid == replica
+        assignable, written = view.assign_pools()
+        assert reference_pools(view.st) == {
+            "keys": view.keys, "live": view.live, "with_attrs": view.with_attrs,
+            "mintable": view.mintable(), "assignable": assignable, "written": written,
+        }
+        draws += 1
+        differing += assignable != written
+        return draw(rng, view, replica, kind, next_keys)
+
+    monkeypatch.setattr(harness, "_draw_args", checked)
+    for i in range(traces):
+        random_execution(execution_seed(9, i), TraceConfig(replicas=replicas, events=events, mode=mode))
+    assert draws >= traces * events and differing
 
 
 class TestRunOpSpawned:
