@@ -52,6 +52,7 @@ def cmd_run(seed, executions, events, replicas, mode, out):
         sys.exit(2)
     click.echo(f"executions: {summary['executions']}")
     click.echo(f"multivalued fraction: {summary['multivalued_fraction']:.4f}")
+    click.echo(f"deletion fraction: {summary['deletion_fraction']:.4f}")
     for inv in sorted(summary["violations"]):
         click.echo(f"violations[{inv}]: {summary['violations'][inv]}")
     click.echo(f"total violating traces: {summary['total_violating']}")

@@ -1,5 +1,5 @@
-"""Randomized execution generation, full-trace invariant checking, and
-trace shrinking.
+"""Randomized execution generation, invariant checking, and trace
+shrinking.
 
 A trace is fully replayable: a header (seed, config), generation steps
 (which operation ran at which replica, with its recorded outcome), and
@@ -8,6 +8,11 @@ are built the way that shakes out delivery bugs: each new event is
 generated at a replica that has just been brought up to date with two
 randomly chosen earlier events, each delivered only up to a random prefix
 of its effector chain (plus whatever causal delivery forces in first).
+
+One ``Checker`` judges every execution: ``random_execution`` runs it on
+the world it builds and keeps the report on the trace, ``replay`` runs it
+on any other trace, and the explorer on the states it reaches. Generation
+and replay end in the same quiescence checks (``check_tail``).
 """
 
 from __future__ import annotations
@@ -100,9 +105,16 @@ class DeliverStep:
 
 @dataclass
 class Trace:
+    """A replayable execution. ``report`` is the invariant report made
+    while ``random_execution`` built it, and None for any other trace (one
+    read from a file, cut, copied or built by hand), which
+    ``check_invariants`` replays. It is neither compared nor written out,
+    and goes stale if the steps are changed in place."""
+
     seed: int
     config: TraceConfig
     steps: list
+    report: InvariantReport | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -173,9 +185,10 @@ def _event_label(label: str, j: int) -> str:
 # ---------------------------------------------------------------------------
 # Random execution generation.
 
-def _deliver_prefix(world: World, replica: int, eid, upto: int, steps: list, eid_labels: dict) -> None:
+def _deliver_prefix(world: World, replica: int, eid, upto: int, record, eid_labels: dict) -> None:
     """Deliver event ``eid``'s chain to ``replica`` up to ``upto`` messages,
-    first delivering (fully) everything the event causally depends on."""
+    first delivering (fully) everything the event causally depends on.
+    ``record`` takes each delivery's step just after it applies."""
     st = world.states[replica]
     if eid[0] == replica or st.fully_applied(eid):
         return
@@ -188,16 +201,16 @@ def _deliver_prefix(world: World, replica: int, eid, upto: int, steps: list, eid
         seq = st.applied_full.get(dep_r, 0) + 1
         while seq <= dep_c:
             dep_eid = (dep_r, seq)
-            _deliver_prefix(world, replica, dep_eid, len(world.events[dep_eid].chain), steps, eid_labels)
+            _deliver_prefix(world, replica, dep_eid, len(world.events[dep_eid].chain), record, eid_labels)
             seq = st.applied_full.get(dep_r, 0) + 1
     for idx in range(st.progress.get(eid, 0), upto):
         world.apply_message(replica, eid, idx)
-        steps.append(DeliverStep(replica, eid_labels[eid], idx))
+        record(DeliverStep(replica, eid_labels[eid], idx))
 
 
-def _deliver_all(world: World, replica: int, steps: list, eid_labels: dict) -> None:
+def _deliver_all(world: World, replica: int, record, eid_labels: dict) -> None:
     for eid, idx in world.drain(replica):
-        steps.append(DeliverStep(replica, eid_labels[eid], idx))
+        record(DeliverStep(replica, eid_labels[eid], idx))
 
 
 class DrawView:
@@ -308,11 +321,24 @@ def _draw_args(rng: random.Random, view: DrawView, replica: int, kind: str, next
 
 
 def random_execution(seed: int, config: TraceConfig) -> Trace:
-    """Build one replayable random trace. Deterministic in (seed, config)."""
+    """Build one replayable random trace, checking every invariant as it
+    goes: a ``Checker`` watches every application and step, and
+    ``check_tail`` runs once the last event is generated. The report is kept
+    as the trace's ``report``, so ``check_invariants`` need not replay the
+    trace. Deterministic in (seed, config)."""
     config.validate()
     rng = random.Random(seed)
     world = World(config.replicas, config.mode)
+    checker = Checker()
+    world.on_apply = checker.on_apply
     steps: list = []
+
+    def record(step) -> None:
+        # The checker labels what an application finds with the index the
+        # step being applied gets here, as a replay of the trace would.
+        steps.append(step)
+        checker.on_step(world, len(steps) - 1, step)
+
     eid_labels: dict = {}
     next_keys = [0] * config.replicas  # numbers the next create at each replica
     successes: list[Event] = []
@@ -341,12 +367,12 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
         sync_p = 0.6 if reclaiming else 0.1
         if successes and rng.random() < sync_p:
             # Full sync point: deliver everything outstanding to this replica.
-            _deliver_all(world, replica, steps, eid_labels)
+            _deliver_all(world, replica, record, eid_labels)
         elif successes:
             parents = rng.sample(successes, min(2, len(successes)))
             for ev in parents:
                 upto = rng.randint(0, len(ev.chain))
-                _deliver_prefix(world, replica, ev.id, upto, steps, eid_labels)
+                _deliver_prefix(world, replica, ev.id, upto, record, eid_labels)
         op = None
         st = world.states[replica]
         view = DrawView(st)
@@ -377,9 +403,11 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
         result, spawned = run_op(world, replica, op)
         for j, ev in enumerate(spawned):
             eid_labels[ev.id] = _event_label(label, j)
-        steps.append(GenStep(label, replica, op, result))
+        record(GenStep(label, replica, op, result))
         successes.extend(spawned)
-    return Trace(seed, config, steps)
+    trace = Trace(seed, config, steps)
+    trace.report = check_tail(world, checker, steps)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +461,10 @@ def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
 # Each clause of I1-I6 and of refinement is defined once below. A clause
 # returns what it found wrong: a detail string, or None when it holds (the
 # functions covering several clauses return lists). The Checker runs the
-# clauses during a replay, and the explorer (``explore``) runs the
-# Checker's record checks on the replica states it builds and the other
-# clauses at the states it reaches; each only chooses where to run them and
-# how to word what they find.
+# clauses while an execution is generated or replayed, and the explorer
+# (``explore``) runs the Checker's record checks on the replica states it
+# builds and the other clauses at the states it reaches; each only chooses
+# where to run them and how to word what they find.
 
 def entry_fault(st, key: str, attr: str, e):
     """I1 for the non-NULL entry ``e`` of ``key.attr`` at replica state
@@ -574,20 +602,23 @@ STABLE_ANSWERS = {("may_delete", "true"), ("delete", "ok")}
 
 
 class Checker:
-    """Runs the invariant clauses during a replay.
+    """Runs the invariant clauses on one execution as it runs. Three
+    callers drive it: ``random_execution`` while it generates a trace,
+    ``replay`` for any other trace, and the explorer, which uses
+    ``on_apply`` alone.
 
     ``on_apply``, the world's application hook, checks after each payload
     every clause on a record that payload can falsify, so from a checked
     start it reports each finding at the application that makes it true
-    (the explorer relies on this); ``on_step``, the replay's step hook,
-    checks refinement; ``scan_deletions`` runs the event-log checks once the
-    trace has been replayed.
+    (the explorer relies on this); ``on_step``, run after every step of the
+    trace, checks refinement; ``scan_deletions`` runs the event-log checks
+    once the trace has run (``check_tail``).
     """
 
     def __init__(self):
         self.violations: list = []
-        # The index of the step being replayed, which labels what its
-        # applications find.
+        # The index in the trace of the step being run, which labels what
+        # its applications find.
         self.step = 0
         self.multivalued = False
 
@@ -647,17 +678,18 @@ class Checker:
 
     def scan_deletions(self, world: World) -> None:
         """The event-log checks (I2 and the global half of I3), once per
-        replayed trace."""
+        trace, after its last step."""
         for invariant, replica, detail in log_faults(world):
             self.violations.append(Violation(invariant, -1, replica, detail))
 
 
-def check_invariants(trace: Trace) -> InvariantReport:
-    """Replay a trace strictly, checking I1-I4 at every post-application
-    state, I5-I7 after forced quiescence, plus the stability refinement
-    property."""
-    checker = Checker()
-    world, norm = replay(trace, on_apply=checker.on_apply, on_step=checker.on_step)
+def check_tail(world: World, checker: Checker, steps: list) -> InvariantReport:
+    """Finish checking an execution whose ``steps`` have all run on
+    ``world`` under ``checker``: force quiescence, then check I5 and I6,
+    the event log (``Checker.scan_deletions``) and I7, and report.
+
+    Generation and replay both end here. It changes ``world``: it delivers
+    everything and runs I7's queries and announce rounds."""
     world.quiesce()
 
     n = world.n
@@ -691,12 +723,26 @@ def check_invariants(trace: Trace) -> InvariantReport:
                 elif (bad := refinement_fault(world, (t, frozenset()))) is not None:
                     checker.violations.append(Violation("refinement", -1, r, bad))
 
+    gens = [s for s in steps if isinstance(s, GenStep)]
     report = InvariantReport(checker.violations)
     report.stats["multivalued"] = checker.multivalued
-    report.stats["events"] = sum(1 for s in norm if isinstance(s, GenStep))
-    report.stats["failed_events"] = sum(
-        1 for s in norm if isinstance(s, GenStep) and s.result.startswith("err:"))
+    report.stats["events"] = len(gens)
+    report.stats["failed_events"] = sum(1 for s in gens if s.result.startswith("err:"))
+    report.stats["deleted"] = any(s.op.kind == "delete" and s.result == "ok" for s in gens)
     return report
+
+
+def check_invariants(trace: Trace) -> InvariantReport:
+    """The invariant report of ``trace``: I1-I4 at every post-application
+    state, the stability refinement property, and I5-I7 after forced
+    quiescence. A trace ``random_execution`` built was checked while it was
+    built, and its ``report`` is returned as it is; any other trace is
+    replayed strictly under a ``Checker`` and finished by ``check_tail``."""
+    if trace.report is not None:
+        return trace.report
+    checker = Checker()
+    world, norm = replay(trace, on_apply=checker.on_apply, on_step=checker.on_step)
+    return check_tail(world, checker, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +806,8 @@ def run_campaign(seed: int, executions: int, config: TraceConfig, keep_failures:
     """Run ``executions`` random traces and check every invariant.
 
     Returns a summary dict: per-invariant violation counts, the fraction of
-    traces that exhibited a multi-valued register, and up to
+    traces that exhibited a multi-valued register, the fraction that deleted
+    an object (a ``delete`` step with result ``ok``), and up to
     ``keep_failures`` shrunk failing traces.
     """
     if executions < 1:
@@ -769,11 +816,12 @@ def run_campaign(seed: int, executions: int, config: TraceConfig, keep_failures:
     counts: dict = {}
     failures: list = []
     multivalued = 0
+    deleted = 0
     for i in range(executions):
         trace = random_execution(execution_seed(seed, i), config)
         report = check_invariants(trace)
-        if report.stats.get("multivalued"):
-            multivalued += 1
+        multivalued += report.stats["multivalued"]
+        deleted += report.stats["deleted"]
         if not report.ok:
             for inv in sorted(report.failed_invariants()):
                 counts[inv] = counts.get(inv, 0) + 1
@@ -784,5 +832,6 @@ def run_campaign(seed: int, executions: int, config: TraceConfig, keep_failures:
         "violations": counts,
         "total_violating": sum(counts.values()),
         "multivalued_fraction": multivalued / executions,
+        "deletion_fraction": deleted / executions,
         "failures": failures,
     }

@@ -347,26 +347,29 @@ class World:
         if self.on_apply is not None:
             self.on_apply(self, st, msg)
 
-    def _pass(self, st: ReplicaState) -> list:
+    def _pass(self, st: ReplicaState):
         """Apply, in one pass over ``st``'s sorted ``pending`` keys, each
-        message deliverable when its turn comes. Returns the applied keys."""
-        applied = []
+        message deliverable when its turn comes, yielding each key just
+        after it applies."""
         for key in sorted(st.pending):
             msg = st.pending[key]
             if self.deliverable(st.rid, msg):
                 st.pending.pop(key)
                 self._apply(st, msg)
-                applied.append(key)
-        return applied
+                yield key
 
-    def drain(self, replica: ReplicaId) -> list:
+    def drain(self, replica: ReplicaId):
         """Apply every buffered message at ``replica`` that is or becomes
-        deliverable, in passes until a pass applies nothing. Returns the
-        applied keys in application order."""
-        applied = []
-        while keys := self._pass(self.states[replica]):
-            applied += keys
-        return applied
+        deliverable, in passes until a pass applies nothing. Yields each
+        applied key just after applying it, before the next application, so
+        a caller can record each delivery as its own step."""
+        st = self.states[replica]
+        applied = True
+        while applied:
+            applied = False
+            for key in self._pass(st):
+                applied = True
+                yield key
 
     def quiesce(self) -> None:
         """Deliver every outstanding effector everywhere, in some causal order:
@@ -376,8 +379,8 @@ class World:
         would indicate a causal-closure bug).
         """
         while any(st.pending for st in self.states):
-            # A list, not a generator: every replica takes its pass.
-            if not any([self._pass(st) for st in self.states]):
+            # Every replica takes its whole pass.
+            if not [key for st in self.states for key in self._pass(st)]:
                 stuck = [(st.rid, key) for st in self.states for key in sorted(st.pending)]
                 raise Stuck(f"undeliverable messages remain: {stuck[:5]}")
 

@@ -68,10 +68,16 @@ class TestRun:
         b = invoke("run", "--executions", "25", "--seed", "11")
         assert a.output == b.output
 
+    def test_deletion_fraction_follows_multivalued(self):
+        lines = invoke("run", "--executions", "40", "--seed", "3").output.splitlines()
+        assert lines[1].startswith("multivalued fraction: ")
+        assert lines[2].startswith("deletion fraction: ")
+
     def test_unwritable_out_exit_two(self, monkeypatch, tmp_path):
         # A campaign with one failure, so ``--out`` is written to.
         trace = random_execution(5, TraceConfig())
-        summary = {"executions": 1, "multivalued_fraction": 0.0, "violations": {"I1": 1},
+        summary = {"executions": 1, "multivalued_fraction": 0.0, "deletion_fraction": 0.0,
+                   "violations": {"I1": 1},
                    "total_violating": 1, "failures": [(0, trace, None)]}
         monkeypatch.setattr(cli, "run_campaign", lambda seed, executions, config: summary)
         blocker = tmp_path / "file"

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from canon_reference import world_fingerprint
-from causalrefs import harness
+from causalrefs import harness, tracefile
 from causalrefs.harness import (
     ConfigInvalid,
     DeliverStep,
@@ -236,6 +238,51 @@ class TestShrink:
         assert len(small.steps) <= len(tr.steps)
 
 
+class TestTraceReport:
+    """A generated trace carries the report made while it was generated;
+    any other trace has none and is checked by replay."""
+
+    def generated(self):
+        tr = random_execution(execution_seed(4, 2), TraceConfig())
+        assert tr.report is not None
+        return tr
+
+    def test_trace_file_leaves_report_out(self):
+        tr = self.generated()
+        text = tracefile.dumps(tr)
+        assert text == tracefile.dumps(Trace(tr.seed, tr.config, tr.steps))
+        assert "report" not in text
+
+    def test_only_generated_trace_has_report(self):
+        tr = self.generated()
+        assert tracefile.loads(tracefile.dumps(tr)).report is None
+        assert dataclasses.replace(tr).report is None
+        assert dataclasses.replace(tr, steps=tr.steps[:3]).report is None
+        assert Trace(tr.seed, tr.config, list(tr.steps)).report is None
+
+    def test_equality_and_repr_ignore_report(self):
+        tr = self.generated()
+        bare = Trace(tr.seed, tr.config, list(tr.steps))
+        assert tr == bare
+        assert repr(tr) == repr(bare)
+
+    def test_replays_only_trace_without_report(self, monkeypatch):
+        calls = []
+        real = harness.replay
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        tr = self.generated()
+        monkeypatch.setattr(harness, "replay", counting)
+        assert check_invariants(tr) is tr.report
+        assert calls == []
+        loaded = tracefile.loads(tracefile.dumps(tr))
+        assert check_invariants(loaded) == tr.report
+        assert calls == [loaded]
+
+
 class TestCampaign:
     def test_summary_shape_and_determinism(self):
         cfg = TraceConfig()
@@ -244,6 +291,13 @@ class TestCampaign:
         assert s1["executions"] == 40
         assert s1["violations"] == s2["violations"] == {}
         assert s1["multivalued_fraction"] == s2["multivalued_fraction"]
+        assert s1["deletion_fraction"] == s2["deletion_fraction"]
+
+    @pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
+    def test_deletion_fraction_pinned(self, mode):
+        # The share of traces with a successful ``delete`` at the CLI's
+        # default campaign: 5 of 1,000 in either mode.
+        assert run_campaign(0, 1000, TraceConfig(mode=mode))["deletion_fraction"] == 0.005
 
     def test_atomic_mode_campaign(self):
         s = run_campaign(9, 40, TraceConfig(mode=ATOMIC))

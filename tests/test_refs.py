@@ -135,7 +135,7 @@ class TestAssign:
             applied, buffered = [], False
             for i in order:
                 st.pending[keys[i]] = msgs[keys[i]]
-                drained = w.drain(1)
+                drained = list(w.drain(1))
                 buffered |= keys[i] not in drained
                 applied.extend(drained)
             assert applied == keys and not st.pending
