@@ -16,7 +16,9 @@ its ``canon`` slot. The cache stays valid because every change to a record
 goes through ``ReplicaState.writable``, which clears the slot of a record it
 hands out for change in place, while a copied record
 (``ObjectRecord.clone``) starts without one. Records that worlds share
-copy-on-write thus have their text built once.
+copy-on-write thus have their text built once. A copied record also shares
+its parts (registers and listing) with the original until it writes one,
+so the text is cached per record, not per part.
 """
 
 from __future__ import annotations

@@ -18,8 +18,11 @@ origins; so there an entry also lists, in application order, the origins
 of the remote messages whose effect depends on that order
 (``_order_sensitive``), and an event is keyed with its dependencies on
 other origins. Each event is interned to a small int when it is generated,
-and a delivery successor's key is derived from its parent's and checked
-before the successor is built, so reaching a state again costs no copy. A
+and so is each tuple of events and each delivery entry, so a key is a flat
+tuple of small ints. A delivery successor's key is derived from its
+parent's and checked before the successor is built, so reaching a state
+again costs no copy; the new entry is a function of the old entry and the
+message, kept under them, so each entry transition is worked out once. A
 generation successor's key comes from a table of generation outcomes,
 keyed by what the generator can read, once the same op has run on an equal
 replica view; it too is built only if it is fresh.
@@ -45,6 +48,9 @@ reached), and at the root on every setup event at every replica. A record
 changes only through payloads and each payload's check covers every clause
 it can falsify, so every finding at a reached state is reported where the
 step that made it true was built; a shared state was checked when built.
+The terminal checks (I5, I6) are a function of a terminal state's object
+key, so they run once per distinct key, and their findings are reported at
+every terminal state with that key.
 
 ``exhaustive_explore`` runs one program; ``explore_catalog`` branches over
 a whole operation catalog at every generation point, covering every program
@@ -113,9 +119,9 @@ def _objects_key(world: World) -> str:
     return "[" + ",".join(canon_objects(st) for st in world.states) + "]"
 
 
-def _state_key(k: int, events: tuple, delivery: tuple) -> tuple:
-    """Deduplication key: the program position, the interned events in
-    event-id order, and each replica's delivery entry."""
+def _state_key(k: int, events: int, delivery: tuple) -> tuple:
+    """Deduplication key: the program position, the id of the interned
+    events in event-id order, and the id of each replica's delivery entry."""
     return (k, events, delivery)
 
 
@@ -166,6 +172,12 @@ def _check_refids(world: World) -> list:
     return [f"{invariant}: {detail}" for invariant, _replica, detail in log_faults(world)]
 
 
+def _check_replicas(replicas: int) -> None:
+    """The replica bound of every exploration."""
+    if not 1 <= replicas <= MAX_REPLICAS:
+        raise ConfigInvalid(f"replicas must be between 1 and {MAX_REPLICAS}")
+
+
 def _check_terminal(world: World) -> list:
     """I5 and I6 at a terminal state, which is quiescent."""
     out = [f"I5: replica {r} diverges at terminal state" for r in diverging_replicas(world)]
@@ -181,17 +193,18 @@ def _enabled(world: World, st) -> tuple:
 
 class _Search:
     """What one exploration shares across its states: the root world, the
-    report, the checker, the keys already seen, the event interning table,
-    the generation outcome table and the reuse table of each generation
-    level on the current path.
+    report, the checker, the keys already seen, the interning table, the
+    generation outcome table, the entry transition table, the terminal
+    findings per object key and the reuse table of each generation level
+    on the current path.
 
     A state travels down the recursion as its world, its signature
-    ``(events, delivery)``, the parts of its key besides the program
-    position, and its enabled deliveries per replica. A world handed on is
-    never mutated again, so a delivery successor copies only the replica
-    state it changes (``World.clone``), or shares the one its level built
-    for the same entry (``World.sharing``); only that replica's enabled
-    deliveries change.
+    ``(events id, tuple of entry ids)``, the parts of its key besides the
+    program position, and its enabled deliveries per replica. A world
+    handed on is never mutated again, so a delivery successor copies only
+    the replica state it changes (``World.clone``), or shares the one its
+    level built for the same entry (``World.sharing``); only that
+    replica's enabled deliveries change.
     For the same reason a record's cached canonical text stays valid in
     every world that shares the record: a successor that changes it
     changes a copy, which starts without text. So each record's text is
@@ -208,8 +221,7 @@ class _Search:
     """
 
     def __init__(self, replicas: int, mode: str, setup):
-        if not 1 <= replicas <= MAX_REPLICAS:
-            raise ConfigInvalid(f"replicas must be between 1 and {MAX_REPLICAS}")
+        _check_replicas(replicas)
         self.root = World(replicas, mode)
         if setup is not None:
             setup(self.root)
@@ -217,11 +229,17 @@ class _Search:
         self.report = ExploreReport()
         self.checker = Checker()
         self.seen: set = set()
-        self.interned: dict = {}
-        # Delivery entries and views recur across many keys; one shared
-        # copy of each keeps the table from costing memory.
-        self.shared: dict = {}
+        # Events, event tuples, views and delivery entries, each interned
+        # to the small int that stands for it in keys (``_id``);
+        # ``values[i]`` is the value of id i.
+        self.ids: dict = {}
+        self.values: list = []
         self.outcomes: dict = {}
+        # (entry id, message key, chain length, order-sensitive) -> the
+        # entry id once that message applies (``delivered``).
+        self.transitions: dict = {}
+        # Terminal object key -> its I5 and I6 findings.
+        self.terminal_findings: dict = {}
         # Per generation level on the current path: (replica, delivery
         # entry) -> (replica state, its enabled deliveries).
         self.levels: list = [{}]
@@ -237,17 +255,25 @@ class _Search:
         key = ev.chain
         if self.root.n > 2:
             key = key, tuple(sorted((r, c) for r, c in ev.deps.items() if r != ev.replica))
-        return self.interned.setdefault(key, len(self.interned))
+        return self._id(key)
 
-    def _share(self, value: tuple) -> tuple:
-        return self.shared.setdefault(value, value)
+    def _id(self, value: tuple) -> int:
+        """The small int standing for ``value`` in keys."""
+        i = self.ids.get(value)
+        if i is None:
+            i = self.ids[value] = len(self.values)
+            self.values.append(value)
+        return i
 
-    def signature(self, world: World) -> tuple:
-        """``world``'s signature, computed from scratch with every order
-        of order-sensitive messages empty: exact at the root, and at two
-        replicas, where the orders stay empty."""
-        events = tuple(self._intern(world.events[eid]) for eid in sorted(world.events))
-        return events, tuple(self._share(_delivery_sig(st)) for st in world.states)
+    def signature(self, world: World, orders=None) -> tuple:
+        """``world``'s signature, computed from scratch with ``orders[r]``
+        as replica r's order of order-sensitive messages. By default every
+        order is empty: exact at the root, and at two replicas, where the
+        orders stay empty."""
+        events = self._id(tuple(self._intern(world.events[eid]) for eid in sorted(world.events)))
+        orders = orders or ((),) * world.n
+        return events, tuple(self._id(_delivery_sig(st, order))
+                             for st, order in zip(world.states, orders))
 
     def fresh(self, k: int, sig: tuple) -> bool:
         """Mark the state (``k``, ``sig``) seen; False if it already was."""
@@ -267,9 +293,15 @@ class _Search:
         return stable_seen
 
     def terminal(self, world: World) -> None:
+        """Count a terminal state and report its I5 and I6 findings, which
+        are a function of its object key: checked once per distinct key."""
+        key = _objects_key(world)
         self.report.terminals += 1
-        self.report.terminal_keys.add(_objects_key(world))
-        self.report.violations.extend(_check_terminal(world))
+        self.report.terminal_keys.add(key)
+        found = self.terminal_findings.get(key)
+        if found is None:
+            found = self.terminal_findings[key] = _check_terminal(world)
+        self.report.violations.extend(found)
 
     def outcome_key(self, world: World, sig: tuple, replica: int, slot: int) -> tuple:
         """The outcome table's key for running the op in ``slot`` at
@@ -277,7 +309,7 @@ class _Search:
         event-id order, and a replica has applied a prefix of them, plus at
         most the next one in part."""
         st = world.states[replica]
-        events = sig[0]
+        events = self.values[sig[0]]
         view = []
         start = 0
         for origin in world.states:
@@ -287,7 +319,7 @@ class _Search:
                 count += 1
             view.extend(events[start:start + count])
             start += origin.applied_full.get(o, 0)
-        return replica, slot, sig[1][replica], self._share(tuple(view))
+        return replica, slot, sig[1][replica], self._id(tuple(view))
 
     def successor(self, world: World, sig: tuple, replica: int, outcome: tuple) -> tuple:
         """The signature after ``outcome`` of a generation at ``replica``:
@@ -296,7 +328,8 @@ class _Search:
         _result, spawned, entry = outcome
         if spawned:
             at = sum(world.states[o].applied_full.get(o, 0) for o in range(replica + 1))
-            events = events[:at] + tuple(c for _eid, c in spawned) + events[at:]
+            old = self.values[events]
+            events = self._id(old[:at] + tuple(c for _eid, c in spawned) + old[at:])
         return events, delivery[:replica] + (entry,) + delivery[replica + 1:]
 
     def _execute(self, world: World, replica: int, op: OpCall, order: tuple) -> tuple:
@@ -307,7 +340,7 @@ class _Search:
         delivery entry."""
         result, spawned = run_op(world, replica, op)
         spawned = tuple((ev.id, self._intern(ev)) for ev in spawned)
-        return result, spawned, self._share(_delivery_sig(world.states[replica], order))
+        return result, spawned, self._id(_delivery_sig(world.states[replica], order))
 
     def generate(self, world: World, k: int, sig: tuple, replica: int, op: OpCall, slot: int):
         """Run ``op`` (the op in ``slot`` of the program or catalog) at
@@ -320,7 +353,7 @@ class _Search:
         successor is checked: the spawned chains at ``replica`` and the
         event log."""
         key = self.outcome_key(world, sig, replica, slot)
-        order = sig[1][replica][2]
+        order = self.values[sig[1][replica]][2]
         outcome = self.outcomes.get(key)
         w2 = None
         if outcome is None:
@@ -343,23 +376,29 @@ class _Search:
 
     def delivered(self, world: World, sig: tuple, replica: int, mkey) -> tuple:
         """The signature once pending message ``mkey`` is applied at
-        ``replica``, by the bookkeeping of ``World._apply``."""
+        ``replica``, by the bookkeeping of ``World._apply``. The new entry
+        is a function of the old one, ``mkey``, the length of the message's
+        chain and whether the message is order-sensitive, and is kept under
+        them."""
         events, delivery = sig
         eid, idx = mkey
-        st = world.states[replica]
-        applied, _progress, order = delivery[replica]
         chain = world.events[eid].chain
-        progress = dict(st.progress)
-        if idx + 1 == len(chain):
-            progress.pop(eid, None)
-            full = dict(st.applied_full)
-            full[eid[0]] = eid[1]
-            applied = tuple(sorted(full.items()))
-        else:
-            progress[eid] = idx + 1
-        if world.n > 2 and _order_sensitive(chain[idx]):
-            order += (eid[0],)
-        new = self._share((applied, tuple(sorted(progress.items())), order))
+        sensitive = world.n > 2 and _order_sensitive(chain[idx])
+        memo = delivery[replica], mkey, len(chain), sensitive
+        new = self.transitions.get(memo)
+        if new is None:
+            applied, progress, order = self.values[delivery[replica]]
+            progress = dict(progress)
+            if idx + 1 == len(chain):
+                progress.pop(eid, None)
+                full = dict(applied)
+                full[eid[0]] = eid[1]
+                applied = tuple(sorted(full.items()))
+            else:
+                progress[eid] = idx + 1
+            if sensitive:
+                order += (eid[0],)
+            new = self.transitions[memo] = self._id((applied, tuple(sorted(progress.items())), order))
         return events, delivery[:replica] + (new,) + delivery[replica + 1:]
 
     def deliver(self, world: World, k: int, sig: tuple, replica: int, mkey, enabled: tuple):
@@ -448,6 +487,7 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
         raise BoundExceeded(f"{max_events} events exceeds bound {DEFAULT_BOUND}")
     if max_events < 0:
         raise ConfigInvalid("the event bound must not be negative")
+    _check_replicas(replicas)
     search = _Search(replicas, mode, setup)
     choices = [(replica, slot, op) for replica in range(replicas) for slot, op in enumerate(catalog)]
     return search.run([choices] * max_events, ends_anywhere=True)

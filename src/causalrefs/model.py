@@ -122,7 +122,7 @@ class ReplicaState:
     """
 
     __slots__ = (
-        "rid", "objects", "owned", "applied_full", "progress", "pending",
+        "rid", "objects", "owned", "copied", "applied_full", "progress", "pending",
         "queries", "condemned", "created_here", "ref_counts",
         "next_ref", "next_dot",
     )
@@ -130,9 +130,13 @@ class ReplicaState:
     def __init__(self, rid: ReplicaId):
         self.rid = rid
         self.objects: dict[str, Any] = {}
-        # Keys of the object records this state may change in place; any
-        # other record may be shared with a clone (see ``writable``).
+        # Keys of the object records this state made and may change in
+        # place, every part included; any other record may be shared with a
+        # clone (see ``writable``).
         self.owned: set[str] = set()
+        # Keys of the records this state copied from shared ones -> the
+        # parts it has copied so far; its other parts are still shared.
+        self.copied: dict[str, set] = {}
         # ref_counts[key] = surviving non-NULL outref entries targeting key,
         # across all objects at this replica (kept by apply_outref_set).
         self.ref_counts: dict[str, int] = {}
@@ -158,6 +162,7 @@ class ReplicaState:
         st = ReplicaState(self.rid)
         st.objects = dict(self.objects)
         self.owned = set()
+        self.copied = {}
         st.ref_counts = dict(self.ref_counts)
         st.applied_full = dict(self.applied_full)
         st.progress = dict(self.progress)
@@ -169,16 +174,26 @@ class ReplicaState:
         st.next_dot = self.next_dot
         return st
 
-    def writable(self, key: str):
-        """The record of ``key``, copied first if this state does not own it.
-        Every change to a record goes through here, so an owned record handed
-        out for change in place drops its cached canonical text."""
+    def writable(self, key: str, part=None):
+        """The record of ``key``, ready for a change to its own fields and,
+        if ``part`` is given, to that part (``ObjectRecord.own``). Every
+        change to a record goes through here, so a record handed out for
+        change in place drops its cached canonical text. A record this state
+        made is changed in place; a shared one is copied first, sharing its
+        parts, and a part of a copy is copied before its first change."""
         rec = self.objects[key]
-        if key not in self.owned:
+        if key in self.owned:
+            rec.canon = None
+            return rec
+        parts = self.copied.get(key)
+        if parts is None:
             rec = self.objects[key] = rec.clone()
-            self.owned.add(key)
+            parts = self.copied[key] = set()
         else:
             rec.canon = None
+        if part is not None and part not in parts:
+            rec.own(part)
+            parts.add(part)
         return rec
 
     def clock(self) -> dict:

@@ -103,9 +103,19 @@ class InRef:
         return ir
 
 
+# The part of a record that ``ReplicaState.writable`` names for a change to
+# the listing; an attribute's register is named by the attribute.
+LISTING = object()
+
+
 class ObjectRecord:
     """One object's state at a replica. ``canon`` caches the record's
-    canonical text (``canon.canon_objects``); a copy starts without it."""
+    canonical text (``canon.canon_objects``); a copy starts without it.
+
+    A copy (``clone``) shares its parts with the original: each attribute's
+    ``OutRef`` and the ``InRef``. ``own`` replaces one shared part with a
+    copy of it; ``ReplicaState.writable`` calls it before the first change
+    to a part of a copied record, so a change to one part copies only it."""
 
     __slots__ = ("key", "root", "attrs", "inref", "deleted", "last_refs_at_delete", "canon")
 
@@ -120,11 +130,18 @@ class ObjectRecord:
 
     def clone(self) -> "ObjectRecord":
         rec = ObjectRecord(self.key, self.root, ())
-        rec.attrs = {a: out.clone() for a, out in self.attrs.items()}
-        rec.inref = self.inref.clone()
+        rec.attrs = dict(self.attrs)
+        rec.inref = self.inref
         rec.deleted = self.deleted
         rec.last_refs_at_delete = self.last_refs_at_delete
         return rec
+
+    def own(self, part) -> None:
+        """Replace ``part`` (an attribute name, or ``LISTING``) with a copy."""
+        if part is LISTING:
+            self.inref = self.inref.clone()
+        else:
+            self.attrs[part] = self.attrs[part].clone()
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +183,7 @@ class MarkDeleted:
 # Effector appliers.
 
 def apply_outref_set(world: World, st: ReplicaState, key: str, p: OutRefSet) -> None:
-    out = st.writable(key).attrs[p.attr]
+    out = st.writable(key, p.attr).attrs[p.attr]
     out.retired |= p.retired
     for dot in p.retired:
         e = out.entries.pop(dot, None)
@@ -187,13 +204,13 @@ def apply_object_create(world: World, st: ReplicaState, key: str, p: ObjectCreat
 
 
 def apply_inref_add(world: World, st: ReplicaState, key: str, p: InRefAdd) -> None:
-    st.writable(key).inref.added.add((p.source, p.ref))
+    st.writable(key, LISTING).inref.added.add((p.source, p.ref))
 
 
 def apply_inref_remove(world: World, st: ReplicaState, key: str, p: InRefRemove) -> None:
     # Total by construction: an absent pair is recorded anyway and the
     # well-formedness invariant flags it.
-    st.writable(key).inref.removed.add((p.source, p.ref))
+    st.writable(key, LISTING).inref.removed.add((p.source, p.ref))
 
 
 def apply_mark_deleted(world: World, st: ReplicaState, key: str, p: MarkDeleted) -> None:

@@ -20,11 +20,13 @@ def invoke(*args):
 
 def refuse_worlds(monkeypatch, module=harness):
     """Make building any world in ``module`` (by default any campaign or
-    replay world) fail the test, so input that must be rejected first is
-    never turned into a world."""
+    replay world), or any explorer search, fail the test, so input that
+    must be rejected first is never turned into a world: an exploration
+    must check its scope before it builds anything."""
     def no_world(*args):
-        raise AssertionError(f"a world was built for {args}")
+        raise AssertionError(f"a world or search was built for {args}")
     monkeypatch.setattr(module, "World", no_world)
+    monkeypatch.setattr(explore, "_Search", no_world)
 
 
 # A trace file that is not UTF-8 text.

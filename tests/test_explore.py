@@ -31,6 +31,17 @@ CATALOG_COUNTS = {
     4: {PURE_CAUSAL: (100527, 9213), ATOMIC: (41955, 8951)},
 }
 
+# The catalog at 2 events with 3 replicas, where entries carry orders of
+# order-sensitive messages and events their dependencies on other origins:
+# (states, terminals) per mode, the sha256 of the sorted terminal keys and
+# the results (both equal in both modes).
+CATALOG_3_REPLICAS = (
+    {PURE_CAUSAL: (10982, 316), ATOMIC: (2692, 298)},
+    "af272968c335d668b4a10499e770e942cbeaf55510258486f0e1bc3e5581da42",
+    {0: {"err:NotUnreachable", "ok"},
+     1: {"err:NotUnreachable", "err:NullSource", "err:UnreachableTarget", "ok"}},
+)
+
 # What the full search finds on the catalog at 4 events, one bound past the
 # golden digests' 3, in either mode: the sha256 of the sorted terminal keys,
 # one per line, and the results of each program position.
@@ -100,9 +111,42 @@ def test_catalog_programs_up_to_three_events_clean():
 @pytest.mark.slow
 def test_catalog_programs_up_to_four_events_clean():
     for rep in _check_catalog(4):
-        terminal = "\n".join(sorted(rep.terminal_keys)).encode()
-        assert hashlib.sha256(terminal).hexdigest() == CATALOG_4_TERMINAL_KEYS
+        assert _terminal_digest(rep) == CATALOG_4_TERMINAL_KEYS
         assert rep.results == CATALOG_4_RESULTS
+
+
+def _terminal_digest(rep) -> str:
+    return hashlib.sha256("\n".join(sorted(rep.terminal_keys)).encode()).hexdigest()
+
+
+def test_catalog_two_events_three_replicas():
+    counts, digest, results = CATALOG_3_REPLICAS
+    for mode, expected in counts.items():
+        rep = explore_catalog(basic_catalog(), 2, replicas=3, mode=mode, setup=basic_setup)
+        assert rep.ok
+        assert (rep.states, rep.terminals) == expected
+        assert _terminal_digest(rep) == digest
+        assert rep.results == results
+
+
+@pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
+def test_terminal_checked_once_per_distinct_state(monkeypatch, mode):
+    # I5 and I6 are a function of a terminal state's object key, so they
+    # run once per distinct key; a finding is still reported at every
+    # terminal state that has it.
+    checked = []
+    check = explore._check_terminal
+
+    def counted(world):
+        checked.append(world)
+        return check(world)
+
+    monkeypatch.setattr(explore, "listing_mismatches", lambda st: ["one per state"])
+    monkeypatch.setattr(explore, "_check_terminal", counted)
+    rep = explore_catalog(basic_catalog(), 3, replicas=2, mode=mode, setup=basic_setup)
+    assert rep.terminals > len(rep.terminal_keys)
+    assert len(checked) == len(rep.terminal_keys)
+    assert rep.violations == ["I6: one per state"] * rep.terminals
 
 
 def _deleted_terminals(rep):
@@ -117,8 +161,7 @@ def _check_reclaim(events):
         rep = explore_catalog(basic_catalog(), events, replicas=2, mode=mode, setup=reclaim_setup)
         assert rep.ok
         assert (rep.states, rep.terminals) == expected
-        terminal = "\n".join(sorted(rep.terminal_keys)).encode()
-        assert hashlib.sha256(terminal).hexdigest() == digest
+        assert _terminal_digest(rep) == digest
         assert "ok" in rep.results[events - 1]
         yield rep
 
@@ -168,73 +211,6 @@ def _observers(st):
     return {key: (q.sup, q.stable, dict(q.snapshot), set(q.confirm)) for key, q in st.queries.items()}
 
 
-@pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
-def test_successor_keys_and_shared_states(monkeypatch, mode):
-    # Each successor's derived key must equal the key computed from scratch
-    # on a fully copied world that took the same step, and a delivery
-    # successor, which shares the unchanged replica states, the object
-    # records and the event log, must leave its parent as it was. A
-    # delivery successor whose replica state its generation level already
-    # built shares that state, which must equal a fresh build. At every
-    # generation attempt, built or not, the outcome table's prediction is
-    # checked.
-    generate, deliver = explore._Search.generate, explore._Search.deliver
-    parents = []
-    table = {"hit_seen": 0, "hit_fresh": 0, "built": 0, "reused": 0}
-
-    def checked_generate(search, world, k, sig, replica, op, slot):
-        full = world.clone()
-        expected, _spawned = run_op(full, replica, op)
-        key = search.outcome_key(world, sig, replica, slot)
-        known = key in search.outcomes
-        child = generate(search, world, k, sig, replica, op, slot)
-        outcome = search.outcomes[key]
-        assert outcome[0] == expected
-        predicted = explore._state_key(k + 1, *search.successor(world, sig, replica, outcome))
-        assert predicted == explore._state_key(k + 1, *search.signature(full))
-        if child is not None:
-            assert child[1] == search.signature(child[0])
-            assert child[2] == tuple(explore._enabled(full, st) for st in full.states)
-        if known:
-            table["hit_seen" if child is None else "hit_fresh"] += 1
-        return child
-
-    def checked_deliver(search, world, k, sig, replica, mkey, enabled):
-        full = world.clone()
-        full.apply_message(replica, *mkey)
-        new_sig = search.delivered(world, sig, replica, mkey)
-        derived = explore._state_key(k, *new_sig)
-        assert derived == explore._state_key(k, *search.signature(full))
-        before = _snapshot(world)
-        targets = {t for t, _p in world.states[replica].pending[mkey].items}
-        reused = (replica, new_sig[1][replica]) in search.levels[-1]
-        child = deliver(search, world, k, sig, replica, mkey, enabled)
-        if child is not None:
-            assert _snapshot(world) == before
-            parents.append((world, before))
-            assert _snapshot(child[0]) == _snapshot(full)
-            assert child[2] == tuple(explore._enabled(full, st) for st in full.states)
-            for r, st in enumerate(child[0].states):
-                assert (st is world.states[r]) == (r != replica)
-            assert child[0].events is world.events
-            table["reused" if reused else "built"] += 1
-            if not reused:
-                old = world.states[replica].objects
-                for key, rec in child[0].states[replica].objects.items():
-                    assert (rec is old.get(key)) == (key not in targets), key
-        return child
-
-    monkeypatch.setattr(explore._Search, "generate", checked_generate)
-    monkeypatch.setattr(explore._Search, "deliver", checked_deliver)
-    rep = explore_catalog(basic_catalog(), 2, replicas=2, mode=mode, setup=basic_setup)
-    assert rep.ok and parents
-    assert table["hit_seen"] and table["hit_fresh"]
-    assert table["built"] and table["reused"]
-    # Every subtree has been explored by now.
-    for world, before in parents:
-        assert _snapshot(world) == before
-
-
 # The catalog of the key-soundness probes: with ``reclaim_setup``, replica
 # 1 may reference X before announcing, so announcements from two replicas
 # can disagree and reach a third one in either order; and an event may or
@@ -249,6 +225,113 @@ PROBE_BASIC_CATALOG = [
     OpCall("assign_null", {"source": "A", "attr": "a"}),
     OpCall("announce", {}),
 ]
+
+
+def _written_parts(msg) -> dict:
+    """Per record key ``msg``'s payloads change, the parts they write: the
+    attribute names of its register writes, and "listing" for a change to
+    its listing."""
+    written: dict = {}
+    for target, p in msg.items:
+        parts = written.setdefault(target, set())
+        if isinstance(p, OutRefSet):
+            parts.add(p.attr)
+        elif isinstance(p, (InRefAdd, InRefRemove)):
+            parts.add("listing")
+    return written
+
+
+# The scopes of ``test_successor_keys_and_shared_states`` per replica
+# count. From three replicas on, mark-deleted payloads and announcements
+# with reports extend an entry's order of order-sensitive messages.
+SUCCESSOR_SCOPES = {2: (basic_catalog(), basic_setup), 3: (PROBE_CATALOG, reclaim_setup)}
+
+
+@pytest.mark.parametrize("mode,replicas", [
+    pytest.param(mode, replicas, id=mode if replicas == 2 else f"{replicas}-replicas-{mode}")
+    for replicas in SUCCESSOR_SCOPES for mode in (PURE_CAUSAL, ATOMIC)])
+def test_successor_keys_and_shared_states(monkeypatch, mode, replicas):
+    # Each successor's derived key must equal the key computed from scratch
+    # on a fully copied world that took the same step, and a delivery
+    # successor, which shares the unchanged replica states, the object
+    # records and the event log, must leave its parent as it was. A
+    # delivery successor whose replica state its generation level already
+    # built shares that state, which must equal a fresh build; one built
+    # copies only the records its message changes, and of each only the
+    # registers and listing it writes. At every generation attempt, built
+    # or not, the outcome table's prediction is checked. The from-scratch
+    # key takes each replica's order of order-sensitive messages from the
+    # parent's entry, extended here by a delivered order-sensitive message.
+    generate, deliver = explore._Search.generate, explore._Search.deliver
+    parents = []
+    table = {"hit_seen": 0, "hit_fresh": 0, "built": 0, "reused": 0, "ordered": 0}
+
+    def orders(search, sig):
+        return [search.values[entry][2] for entry in sig[1]]
+
+    def checked_generate(search, world, k, sig, replica, op, slot):
+        full = world.clone()
+        expected, _spawned = run_op(full, replica, op)
+        key = search.outcome_key(world, sig, replica, slot)
+        known = key in search.outcomes
+        child = generate(search, world, k, sig, replica, op, slot)
+        outcome = search.outcomes[key]
+        assert outcome[0] == expected
+        predicted = explore._state_key(k + 1, *search.successor(world, sig, replica, outcome))
+        assert predicted == explore._state_key(k + 1, *search.signature(full, orders(search, sig)))
+        if child is not None:
+            assert child[1] == search.signature(child[0], orders(search, sig))
+            assert child[2] == tuple(explore._enabled(full, st) for st in full.states)
+        if known:
+            table["hit_seen" if child is None else "hit_fresh"] += 1
+        return child
+
+    def checked_deliver(search, world, k, sig, replica, mkey, enabled):
+        full = world.clone()
+        full.apply_message(replica, *mkey)
+        msg = world.states[replica].pending[mkey]
+        new_orders = orders(search, sig)
+        if world.n > 2 and explore._order_sensitive(msg):
+            new_orders[replica] += (mkey[0][0],)
+            table["ordered"] += 1
+        new_sig = search.delivered(world, sig, replica, mkey)
+        derived = explore._state_key(k, *new_sig)
+        assert derived == explore._state_key(k, *search.signature(full, new_orders))
+        before = _snapshot(world)
+        written = _written_parts(msg)
+        reused = (replica, new_sig[1][replica]) in search.levels[-1]
+        child = deliver(search, world, k, sig, replica, mkey, enabled)
+        if child is not None:
+            assert _snapshot(world) == before
+            parents.append((world, before))
+            assert _snapshot(child[0]) == _snapshot(full)
+            assert child[2] == tuple(explore._enabled(full, st) for st in full.states)
+            for r, st in enumerate(child[0].states):
+                assert (st is world.states[r]) == (r != replica)
+            assert child[0].events is world.events
+            table["reused" if reused else "built"] += 1
+            if not reused:
+                old = world.states[replica].objects
+                for key, rec in child[0].states[replica].objects.items():
+                    assert (rec is old.get(key)) == (key not in written), key
+                    if key in written and key in old:
+                        parts = written[key]
+                        for attr, out in rec.attrs.items():
+                            assert (out is old[key].attrs[attr]) == (attr not in parts), (key, attr)
+                        assert (rec.inref is old[key].inref) == ("listing" not in parts), key
+        return child
+
+    monkeypatch.setattr(explore._Search, "generate", checked_generate)
+    monkeypatch.setattr(explore._Search, "deliver", checked_deliver)
+    catalog, setup = SUCCESSOR_SCOPES[replicas]
+    rep = explore_catalog(catalog, 2, replicas=replicas, mode=mode, setup=setup)
+    assert rep.ok and parents
+    assert table["hit_seen"] and table["hit_fresh"]
+    assert table["built"] and table["reused"]
+    assert bool(table["ordered"]) == (replicas > 2)
+    # Every subtree has been explored by now.
+    for world, before in parents:
+        assert _snapshot(world) == before
 
 
 def _behind_key(world):
