@@ -13,11 +13,22 @@ One ``Checker`` judges every execution: ``random_execution`` runs it on
 the world it builds and keeps the report on the trace, ``replay`` runs it
 on any other trace, and the explorer on the states it reaches. Generation
 and replay end in the same quiescence checks (``check_tail``).
+
+The generator draws as CPython 3.11's ``random.Random`` does, without its
+generic argument handling: ``_Draws`` reproduces ``choice``, ``randrange``,
+``randint`` and ``sample`` through the stdlib's ``getrandbits`` rejection
+loop, and the weighted pick of an operation kind is the bisection
+``random.choices(kinds, cum_weights=...)`` makes. So a seed gives the trace
+it always gave; the golden digests (``perfbench/golden.json``), the pinned
+digests and the reference test against ``random.Random`` in
+``tests/test_harness.py`` hold this.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
@@ -68,6 +79,9 @@ DEFAULT_WEIGHTS = {
 # replicas and 2,000 events 14 s and 220 MB.
 MAX_REPLICAS = 16
 MAX_EVENTS = 10_000
+# No total of at most eight weights this size overflows a float, which is
+# what ``random.choices``, and the generator's pick, compute in.
+MAX_WEIGHT = 1e9
 
 
 @dataclass
@@ -84,8 +98,13 @@ class TraceConfig:
             raise ConfigInvalid(f"events must be between 1 and {MAX_EVENTS}")
         if self.mode not in MODES:
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
-        if not self.weights or any(w < 0 for w in self.weights.values()):
-            raise ConfigInvalid("invalid operation weights")
+        weights = self.weights
+        if not weights or not weights.keys() <= DEFAULT_WEIGHTS.keys():
+            raise ConfigInvalid(f"operation weights must name kinds among {sorted(DEFAULT_WEIGHTS)}")
+        # A positive, finite total, which ``random.choices`` checks before a
+        # pick and the generator's pick (``_kind_table``) leaves to this.
+        if any(not 0 <= w <= MAX_WEIGHT for w in weights.values()) or not any(weights.values()):
+            raise ConfigInvalid(f"operation weights must be between 0 and {MAX_WEIGHT:g}, not all zero")
 
 
 @dataclass
@@ -213,6 +232,88 @@ def _deliver_all(world: World, replica: int, record, eid_labels: dict) -> None:
         record(DeliverStep(replica, eid_labels[eid], idx))
 
 
+class _Draws(random.Random):
+    """The generator's random source: ``random.Random`` seeded and stepped
+    as usual, with ``choice``, ``randrange(stop)``, ``randint`` and
+    ``sample`` taking only the arguments the generator passes. Each
+    returns what CPython 3.11's method returns from the same state and
+    leaves the same state behind: it draws through ``_below``, the
+    rejection loop of the stdlib's ``_randbelow_with_getrandbits``, and
+    ``sample`` keeps the stdlib's two algorithms, a copied pool when the
+    population is no larger than the set it would otherwise keep, and
+    rejection of repeats through a set above that. Errors keep the
+    stdlib's types. The golden digests and ``tests/test_harness.py``
+    (against ``random.Random`` itself) pin this."""
+
+    def _below(self, n: int) -> int:
+        """A uniform int in [0, n)."""
+        # getrandbits(0) is 0, which is never below 0: check first.
+        if n <= 0:
+            raise ValueError("empty range")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return r
+
+    def choice(self, seq):
+        n = len(seq)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        return seq[self._below(n)]
+
+    def randrange(self, stop: int) -> int:
+        return self._below(stop)
+
+    def randint(self, a: int, b: int) -> int:
+        return a + self._below(b - a + 1)
+
+    def sample(self, population, k: int) -> list:
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError("Sample larger than population or is negative")
+        below = self._below
+        result = [None] * k
+        setsize = 21  # size of a small set minus size of an empty list
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        if n <= setsize:
+            pool = list(population)
+            for i in range(k):
+                j = below(n - i)
+                result[i] = pool[j]
+                pool[j] = pool[n - i - 1]
+        else:
+            selected = set()
+            for i in range(k):
+                j = below(n)
+                while j in selected:
+                    j = below(n)
+                selected.add(j)
+                result[i] = population[j]
+        return result
+
+
+def _kind_table(weights: dict) -> tuple:
+    """What ``random.choices(kinds, cum_weights=...)`` computes before its
+    pick, for ``weights``' kinds in name order: the kinds, their cumulative
+    weights, the total as a float and the last index. The pick is then
+    ``kinds[bisect(cum_weights, rng.random() * total, 0, hi)]``; the
+    checks ``choices`` makes on the weights are ``TraceConfig.validate``'s."""
+    kinds = sorted(weights)
+    cum_weights = list(accumulate(weights[k] for k in kinds))
+    return kinds, cum_weights, cum_weights[-1] + 0.0, len(kinds) - 1
+
+
+# Some traces end in a reclamation phase: gossip- and deletion-heavy
+# drawing with frequent sync points, so termination detection can actually
+# complete and deletions race against regular updates.
+RECLAIM_MIX = _kind_table({
+    "create": 0.5, "init": 1, "assign": 1, "assign_null": 3,
+    "invoke": 0.5, "may_delete": 3, "delete": 3, "announce": 30,
+})
+
+
 class DrawView:
     """What the generator draws an event's arguments from: replica state
     ``st``'s object keys, its live keys and its live keys with attributes,
@@ -256,7 +357,7 @@ class DrawView:
         return assignable, written
 
 
-def _draw_args(rng: random.Random, view: DrawView, replica: int, kind: str, next_keys: list):
+def _draw_args(rng: _Draws, view: DrawView, replica: int, kind: str, next_keys: list):
     st = view.st
     keys, live, with_attrs = view.keys, view.live, view.with_attrs
 
@@ -327,7 +428,7 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
     as the trace's ``report``, so ``check_invariants`` need not replay the
     trace. Deterministic in (seed, config)."""
     config.validate()
-    rng = random.Random(seed)
+    rng = _Draws(seed)
     world = World(config.replicas, config.mode)
     checker = Checker()
     world.on_apply = checker.on_apply
@@ -342,21 +443,8 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
     eid_labels: dict = {}
     next_keys = [0] * config.replicas  # numbers the next create at each replica
     successes: list[Event] = []
-    # Each mix's kinds and cumulative weights are fixed for the execution;
-    # ``rng.choices`` given them draws exactly as given the weights.
-    kinds = sorted(config.weights)
-    cum_weights = list(accumulate(config.weights[k] for k in kinds))
-
-    # Some traces end in a reclamation phase: gossip- and deletion-heavy
-    # drawing with frequent sync points, so termination detection can
-    # actually complete and deletions race against regular updates.
+    mix = _kind_table(config.weights)
     reclaim_from = int(config.events * 0.45) if rng.random() < 0.3 else None
-    reclaim_weights = {
-        "create": 0.5, "init": 1, "assign": 1, "assign_null": 3,
-        "invoke": 0.5, "may_delete": 3, "delete": 3, "announce": 30,
-    }
-    reclaim_kinds = sorted(reclaim_weights)
-    reclaim_cum_weights = list(accumulate(reclaim_weights[k] for k in reclaim_kinds))
 
     for i in range(config.events):
         reclaiming = reclaim_from is not None and i >= reclaim_from
@@ -377,7 +465,7 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
         st = world.states[replica]
         view = DrawView(st)
         if reclaiming:
-            draw_kinds, draw_cum_weights = reclaim_kinds, reclaim_cum_weights
+            draw_kinds, draw_cum_weights, total, hi = RECLAIM_MIX
             # The first target, by name, of a stable query that is live
             # and not a root here.
             ripe = min((t for (t, _last), q in st.queries.items()
@@ -390,9 +478,9 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
                 if args is not None:
                     op = OpCall("may_delete", args)
         else:
-            draw_kinds, draw_cum_weights = kinds, cum_weights
+            draw_kinds, draw_cum_weights, total, hi = mix
         for _ in range(8):
-            kind = rng.choices(draw_kinds, cum_weights=draw_cum_weights)[0]
+            kind = draw_kinds[bisect(draw_cum_weights, rng.random() * total, 0, hi)]
             args = _draw_args(rng, view, replica, kind, next_keys)
             if args is not None:
                 op = OpCall(kind, args)
@@ -689,7 +777,8 @@ def check_tail(world: World, checker: Checker, steps: list) -> InvariantReport:
     the event log (``Checker.scan_deletions``) and I7, and report.
 
     Generation and replay both end here. It changes ``world``: it delivers
-    everything and runs I7's queries and announce rounds."""
+    everything, then unhooks ``checker`` and runs I7's queries and announce
+    rounds."""
     world.quiesce()
 
     n = world.n
@@ -709,6 +798,9 @@ def check_tail(world: World, checker: Checker, steps: list) -> InvariantReport:
         and not rec.inref.current()
     ]
     if candidates:
+        # This phase applies only query registrations and announcements,
+        # which ``Checker.on_apply`` never judges.
+        world.on_apply = None
         for t in candidates:
             world.execute(0, OpCall("may_delete", {"target": t, "last": []}))
         world.quiesce()
@@ -717,10 +809,14 @@ def check_tail(world: World, checker: Checker, steps: list) -> InvariantReport:
                 world.generate(r, OpCall("announce"))
             world.quiesce()
         for t in candidates:
-            for r in range(n):
-                if not stability.stably_subset(world, r, t, frozenset()):
+            stable = [stability.stably_subset(world, r, t, frozenset()) for r in range(n)]
+            # The oracle reads the whole world, so one answer serves every
+            # replica that holds the query as stable.
+            bad = refinement_fault(world, (t, frozenset())) if any(stable) else None
+            for r, held in enumerate(stable):
+                if not held:
                     checker.violations.append(Violation("I7", -1, r, f"{t} not stably unreferenced after 2 rounds"))
-                elif (bad := refinement_fault(world, (t, frozenset()))) is not None:
+                elif bad is not None:
                     checker.violations.append(Violation("refinement", -1, r, bad))
 
     gens = [s for s in steps if isinstance(s, GenStep)]

@@ -130,6 +130,11 @@ class TestCheck:
         "header-replicas-zero": lambda docs: docs[0]["config"].update(replicas=0),
         "header-events-bool": lambda docs: docs[0]["config"].update(events=True),
         "header-weights-string": lambda docs: docs[0]["config"]["weights"].update(create="3"),
+        # Weights the generator cannot draw from; replay never reads them.
+        "header-weights-nan": lambda docs: docs[0]["config"]["weights"].update(create=float("nan")),
+        "header-weights-zero-total": lambda docs: docs[0]["config"].update(weights={"create": 0}),
+        "header-weights-unknown-kind": lambda docs: docs[0]["config"]["weights"].update(bogus=1),
+        "header-weights-beyond-float": lambda docs: docs[0]["config"]["weights"].update(create=10**400),
         "header-replicas-over-max": lambda docs: docs[0]["config"].update(replicas=MAX_REPLICAS + 1),
         "header-replicas-huge": lambda docs: docs[0]["config"].update(replicas=10**9),
         "header-events-over-max": lambda docs: docs[0]["config"].update(events=MAX_EVENTS + 1),

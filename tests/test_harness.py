@@ -1,10 +1,16 @@
 import dataclasses
+import hashlib
+import math
+import random
+from bisect import bisect
 
 import pytest
 
 from canon_reference import world_fingerprint
 from causalrefs import harness, tracefile
 from causalrefs.harness import (
+    DEFAULT_WEIGHTS,
+    Checker,
     ConfigInvalid,
     DeliverStep,
     GenStep,
@@ -12,6 +18,7 @@ from causalrefs.harness import (
     Trace,
     TraceConfig,
     check_invariants,
+    deleted_faults,
     execution_seed,
     random_execution,
     replay,
@@ -21,6 +28,7 @@ from causalrefs.harness import (
 )
 from causalrefs.harness import ReplayMismatch
 from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, World
+from causalrefs.stability import ClockAnnounce, QueryRegister
 
 
 class TestConfig:
@@ -33,6 +41,33 @@ class TestConfig:
             TraceConfig(mode="eventual").validate()
         with pytest.raises(ConfigInvalid):
             TraceConfig(weights={}).validate()
+
+    # Weight tables the generator cannot draw from: a negative weight, a
+    # total that is zero or no finite float, or a kind ``_draw_args`` does
+    # not know.
+    UNDRAWABLE = {
+        "zero-total": dict.fromkeys(DEFAULT_WEIGHTS, 0),
+        "nan": {**DEFAULT_WEIGHTS, "invoke": math.nan},
+        "infinite": {**DEFAULT_WEIGHTS, "create": math.inf},
+        "overflowing-total": {"create": 1e308, "init": 1e308},
+        "beyond-float": {"create": 10**400},
+        "negative": {**DEFAULT_WEIGHTS, "delete": -1},
+        "unknown-kind": {**DEFAULT_WEIGHTS, "bogus": 1},
+        "query-kind": {"register_query": 1},
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNDRAWABLE))
+    def test_rejects_undrawable_weights(self, case):
+        config = TraceConfig(weights=self.UNDRAWABLE[case])
+        with pytest.raises(ConfigInvalid):
+            config.validate()
+        with pytest.raises(ConfigInvalid):
+            random_execution(0, config)
+
+    def test_accepts_zero_weights_beside_positive_ones(self):
+        weights = {**dict.fromkeys(DEFAULT_WEIGHTS, 0), "create": 0.5}
+        TraceConfig(weights=weights).validate()
+        TraceConfig(weights={"announce": 2}).validate()
 
     def test_campaign_rejects_zero_executions(self):
         with pytest.raises(ConfigInvalid):
@@ -86,6 +121,147 @@ class TestRandomExecution:
                 1 for s in tr.steps
                 if isinstance(s, GenStep) and s.op.kind == "delete" and s.result == "ok")
         assert deletes > 0
+
+
+# Weights with a float total, unlike the default table's.
+FRACTIONAL_WEIGHTS = {"create": 2.5, "init": 3.25, "assign": 6.75, "assign_null": 1.5,
+                      "invoke": 0.6, "may_delete": 1.2, "delete": 0.9, "announce": 1.1}
+
+
+class TestDraws:
+    """``harness._Draws`` returns what ``random.Random`` returns, draw for
+    draw, and leaves the same state, on the argument shapes the generator
+    uses and on edge sizes."""
+
+    SEEDS = range(25)
+    # n = 1, powers of two and their neighbours, and the replica counts.
+    SIZES = sorted({1, 2, 3, 5, 6, 7, 16} | {m for e in (2, 3, 4, 5, 6, 8, 31, 32, 64)
+                                           for m in (2**e - 1, 2**e, 2**e + 1)})
+
+    @staticmethod
+    def both(seed):
+        return harness._Draws(seed), random.Random(seed)
+
+    def test_int_draws(self):
+        for seed in self.SEEDS:
+            fast, ref = self.both(seed)
+            for n in self.SIZES:
+                assert fast.randrange(n) == ref.randrange(n)
+                assert fast.randint(0, n) == ref.randint(0, n)
+                assert fast.randint(1, n) == ref.randint(1, n)
+                if n < 2**63:  # len() of a larger range overflows
+                    assert fast.choice(range(n)) == ref.choice(range(n))
+                seq = [f"k{i}" for i in range(min(n, 70))]
+                assert fast.choice(seq) == ref.choice(seq)
+                assert fast.random() == ref.random()
+            assert fast.getstate() == ref.getstate()
+
+    def test_sample(self):
+        # Populations up to 60 with k = 2 cross the pool/set threshold at
+        # 21; the larger k take the stdlib's bigger set size.
+        for seed in self.SEEDS:
+            fast, ref = self.both(seed)
+            for n in range(61):
+                population = [f"e{i}" for i in range(n)]
+                for k in (0, 1, 2, 5, 6, 12, 40):
+                    if k <= n:
+                        assert fast.sample(population, k) == ref.sample(population, k)
+                        assert fast.getstate() == ref.getstate()
+
+    def test_weighted_pick(self):
+        tables = [harness._kind_table(DEFAULT_WEIGHTS), harness.RECLAIM_MIX,
+                  harness._kind_table(FRACTIONAL_WEIGHTS)]
+        weights = [[DEFAULT_WEIGHTS[k] for k in sorted(DEFAULT_WEIGHTS)], None,
+                   [FRACTIONAL_WEIGHTS[k] for k in sorted(FRACTIONAL_WEIGHTS)]]
+        for seed in self.SEEDS:
+            fast, ref = self.both(seed)
+            for _ in range(200):
+                for (kinds, cum_weights, total, hi), w in zip(tables, weights):
+                    pick = kinds[bisect(cum_weights, fast.random() * total, 0, hi)]
+                    if w is None:
+                        assert pick == ref.choices(kinds, cum_weights=cum_weights)[0]
+                    else:
+                        assert pick == ref.choices(kinds, weights=w)[0]
+            assert fast.getstate() == ref.getstate()
+
+    INVALID = {
+        "choice-empty": lambda rng: rng.choice([]),
+        "randrange-zero": lambda rng: rng.randrange(0),
+        "randrange-negative": lambda rng: rng.randrange(-3),
+        "randint-empty": lambda rng: rng.randint(2, 1),
+        "sample-too-large": lambda rng: rng.sample(["a", "b"], 3),
+        "sample-from-empty": lambda rng: rng.sample([], 1),
+        "sample-negative": lambda rng: rng.sample(["a"], -1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_errors(self, case):
+        call = self.INVALID[case]
+        fast, ref = self.both(3)
+        with pytest.raises(Exception) as expected:
+            call(ref)
+        with pytest.raises(expected.type):
+            call(fast)
+        assert fast.getstate() == ref.getstate()
+
+
+# Traces at configurations the golden digests do not cover: 20 executions
+# each (campaign seed 0), hashed with their failed invariants. 7 replicas
+# make ``randrange`` reject draws, fractional weights a float total, and
+# 2 replicas with 60 events a long reclaim tail. A draw that changes
+# changes the digest.
+PINNED_CONFIGS = {
+    "2-60-pure-causal": (TraceConfig(2, 60, PURE_CAUSAL),
+                         "b4ff3cdda294d62ffb028c0bb83456b19460926cd4e15aa53e99f1d60241c40a"),
+    "7-40-atomic": (TraceConfig(7, 40, ATOMIC),
+                    "2d56cd76d37e63632a089641a333395c03ee685b77404288dfb94b8359195ab2"),
+    "3-20-fractional": (TraceConfig(3, 20, PURE_CAUSAL, dict(FRACTIONAL_WEIGHTS)),
+                        "d84c10e251790b57c28a58608dfd09f67ef81abf3bec171a6e2bf6a45b142e95"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_trace_digests_pinned(name):
+    config, digest = PINNED_CONFIGS[name]
+    h = hashlib.sha256()
+    for i in range(20):
+        trace = random_execution(execution_seed(0, i), config)
+        h.update(tracefile.dumps(trace).encode())
+        h.update(repr(sorted(check_invariants(trace).failed_invariants())).encode())
+    assert h.hexdigest() == digest
+
+
+def test_checker_ignores_query_and_announce_payloads():
+    # ``check_tail`` runs I7's query registrations and announce rounds with
+    # the checker unhooked, which is sound only while ``Checker.on_apply``
+    # judges none of these payloads: on a state that already breaks I1 and
+    # I3 and holds a multi-valued register, it must find nothing.
+    w = World(2)
+    w.generate(0, OpCall("create", {"key": "A", "root": True, "attrs": ["a"]}))
+    w.generate(0, OpCall("create", {"key": "X", "root": True, "attrs": []}))
+    w.generate(0, OpCall("create", {"key": "Y", "root": False, "attrs": []}))
+    w.quiesce()
+    w.generate(0, OpCall("init", {"source": "A", "attr": "a", "target": "X"}))
+    w.generate(1, OpCall("init", {"source": "A", "attr": "a", "target": "X"}))
+    w.execute(0, OpCall("may_delete", {"target": "Y", "last": []}))
+    w.quiesce()
+    for r in range(w.n):
+        w.generate(r, OpCall("announce"))
+    w.quiesce()
+    msgs = [msg for ev in w.events.values() for msg in ev.chain
+            if all(type(p) in (QueryRegister, ClockAnnounce) for _, p in msg.items)]
+    payloads = [p for msg in msgs for _, p in msg.items]
+    assert any(type(p) is QueryRegister for p in payloads)
+    assert any(type(p) is ClockAnnounce and p.reports for p in payloads)
+    for st in w.states:
+        st.objects["X"].deleted = True
+        assert len(st.objects["A"].attrs["a"].entries) == 2
+        assert {inv for inv, _ in deleted_faults(st, st.objects["X"])} == {"I1", "I3"}
+        checker = Checker()
+        for msg in msgs:
+            checker.on_apply(w, st, msg)
+        assert checker.violations == []
+        assert checker.multivalued is False
 
 
 def reference_pools(st) -> dict:
