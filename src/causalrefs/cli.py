@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success / no violations, 1 invariant or assertion violation,
-2 configuration, bound, range or parse error, or an output path that cannot
-be written.
+2 usage, configuration, bound, range or parse error, or an output path that
+cannot be written. Each exit 2 prints one line, except a bare call, which
+prints the help.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
 import sys
 
@@ -23,12 +25,36 @@ from .harness import (
     replay,
     run_campaign,
 )
-from .model import ATOMIC, PURE_CAUSAL, PreconditionFailure, SimulatorError, World
-
-MODES = [PURE_CAUSAL, ATOMIC]
+from .model import MODES, PURE_CAUSAL, PreconditionFailure, SimulatorError, World
 
 
-@click.group()
+@contextlib.contextmanager
+def _one_line_usage():
+    """Re-raise a usage error without its context, which click then shows
+    as the one line ``Error: <message>`` (exit 2) instead of a usage block.
+    A bare call's help is left as click shows it."""
+    try:
+        yield
+    except click.exceptions.NoArgsIsHelpError:
+        raise
+    except click.UsageError as e:
+        raise click.UsageError(e.format_message()) from None
+
+
+class _Group(click.Group):
+    """The command group: a usage error in its own arguments, a command's
+    name or a command's arguments prints one line."""
+
+    def parse_args(self, ctx, args):
+        with _one_line_usage():
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        with _one_line_usage():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Reference CRDT simulator: run randomized campaigns, check traces,
     explore small programs exhaustively, run scenario presets."""
@@ -193,6 +219,9 @@ def cmd_scenario(name, mode, dot_dir):
 def cmd_export_dot(trace_file, step, replica, out):
     """Snapshot one replica's object graph after a given schedule step."""
     trace = _load_trace(trace_file)
+    if not trace.steps:
+        click.echo(f"step {step} out of range: the trace has no steps", err=True)
+        sys.exit(2)
     if not 0 <= step < len(trace.steps):
         click.echo(f"step {step} out of range 0..{len(trace.steps) - 1}", err=True)
         sys.exit(2)

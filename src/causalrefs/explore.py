@@ -79,9 +79,9 @@ from dataclasses import dataclass, field
 
 from .canon import canon_objects
 from .harness import (
-    MAX_REPLICAS,
     Checker,
     ConfigInvalid,
+    check_replicas,
     diverging_replicas,
     listing_mismatches,
     log_faults,
@@ -172,12 +172,6 @@ def _check_refids(world: World) -> list:
     return [f"{invariant}: {detail}" for invariant, _replica, detail in log_faults(world)]
 
 
-def _check_replicas(replicas: int) -> None:
-    """The replica bound of every exploration."""
-    if not 1 <= replicas <= MAX_REPLICAS:
-        raise ConfigInvalid(f"replicas must be between 1 and {MAX_REPLICAS}")
-
-
 def _check_terminal(world: World) -> list:
     """I5 and I6 at a terminal state, which is quiescent."""
     out = [f"I5: replica {r} diverges at terminal state" for r in diverging_replicas(world)]
@@ -221,7 +215,7 @@ class _Search:
     """
 
     def __init__(self, replicas: int, mode: str, setup):
-        _check_replicas(replicas)
+        check_replicas(replicas)
         self.root = World(replicas, mode)
         if setup is not None:
             setup(self.root)
@@ -487,7 +481,7 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
         raise BoundExceeded(f"{max_events} events exceeds bound {DEFAULT_BOUND}")
     if max_events < 0:
         raise ConfigInvalid("the event bound must not be negative")
-    _check_replicas(replicas)
+    check_replicas(replicas)
     search = _Search(replicas, mode, setup)
     choices = [(replica, slot, op) for replica in range(replicas) for slot, op in enumerate(catalog)]
     return search.run([choices] * max_events, ends_anywhere=True)

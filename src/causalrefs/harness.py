@@ -84,6 +84,12 @@ MAX_EVENTS = 10_000
 MAX_WEIGHT = 1e9
 
 
+def check_replicas(replicas: int) -> None:
+    """The replica bound of every configuration and exploration."""
+    if not 1 <= replicas <= MAX_REPLICAS:
+        raise ConfigInvalid(f"replicas must be between 1 and {MAX_REPLICAS}")
+
+
 @dataclass
 class TraceConfig:
     replicas: int = 3
@@ -92,8 +98,7 @@ class TraceConfig:
     weights: dict = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
 
     def validate(self) -> None:
-        if not 1 <= self.replicas <= MAX_REPLICAS:
-            raise ConfigInvalid(f"replicas must be between 1 and {MAX_REPLICAS}")
+        check_replicas(self.replicas)
         if not 1 <= self.events <= MAX_EVENTS:
             raise ConfigInvalid(f"events must be between 1 and {MAX_EVENTS}")
         if self.mode not in MODES:
@@ -505,10 +510,11 @@ def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
     """Re-execute a trace. Returns (world, normalized steps).
 
     In strict mode any divergence from the recorded outcomes raises
-    ReplayMismatch. In lenient mode (used by the shrinker) invalid steps are
-    dropped and recorded results are overwritten with the actual ones; the
-    normalized steps then replay strictly. ``on_step(world, i, step)`` runs
-    after each step ``i``, with the step as kept, or None if it was dropped.
+    ReplayMismatch. In lenient mode (the shrinker's) a delivery that cannot
+    apply or names no event yet bound is dropped, and recorded results give
+    way to the actual ones; the normalized steps replay strictly through the
+    same states. ``on_step(world, i, step)`` runs after each step ``i``, with
+    the step as kept, or None if it was dropped.
     """
     trace.config.validate()
     world = World(trace.config.replicas, trace.config.mode)
@@ -836,75 +842,74 @@ def check_invariants(trace: Trace) -> InvariantReport:
     replayed strictly under a ``Checker`` and finished by ``check_tail``."""
     if trace.report is not None:
         return trace.report
+    return _checked_replay(trace, strict=True)[1]
+
+
+def _checked_replay(trace: Trace, strict: bool) -> tuple:
+    """(normalized steps, report) of ``trace`` replayed under a fresh
+    ``Checker`` and finished by ``check_tail``. A lenient replay's report
+    numbers violations by the steps of ``trace``, not the normalized ones."""
     checker = Checker()
-    world, norm = replay(trace, on_apply=checker.on_apply, on_step=checker.on_step)
-    return check_tail(world, checker, norm)
+    world, norm = replay(trace, strict, on_apply=checker.on_apply, on_step=checker.on_step)
+    return norm, check_tail(world, checker, norm)
 
 
 # ---------------------------------------------------------------------------
 # Shrinking.
 
-def _normalize(trace: Trace) -> Trace:
-    _, norm = replay(trace, strict=False)
-    return Trace(trace.seed, trace.config, norm)
+def _without_events(steps: list):
+    """Each candidate without one label's generation steps; lenient replay
+    drops the deliveries of the events they spawned, as nothing binds them."""
+    for label in [s.label for s in steps if isinstance(s, GenStep)]:
+        yield [s for s in steps if not (isinstance(s, GenStep) and s.label == label)]
+
+
+def _without_deliveries(steps: list):
+    """Each candidate without one delivery step, the last first."""
+    for i in range(len(steps) - 1, -1, -1):
+        if isinstance(steps[i], DeliverStep):
+            yield steps[:i] + steps[i + 1:]
 
 
 def shrink(failing: Trace) -> Trace:
-    """Greedy minimization: drop whole events, then individual deliveries,
-    as long as the same invariant still fails. The result replays to the
-    same failure and is never larger than the input."""
-    current = _normalize(failing)
-    base = check_invariants(current)
+    """Greedy minimization: drop whole events, then single deliveries, as
+    long as the same invariant still fails, judging each candidate by one
+    lenient checked replay. The result is normalized, replays strictly to
+    the same failure and is never larger than the input."""
+    steps, base = _checked_replay(failing, strict=False)
     if base.ok:
         raise NotFailing("trace does not fail any invariant")
     target_inv = base.violations[0].invariant
 
-    def fails(t: Trace):
+    def still_failing(cand: list):
+        """``cand`` normalized if it still fails ``target_inv``, else None."""
         try:
-            rep = check_invariants(t)
-        except (SimulatorError, ReplayMismatch):
-            return False
-        return target_inv in rep.failed_invariants()
+            norm, rep = _checked_replay(Trace(failing.seed, failing.config, cand), strict=False)
+        except SimulatorError:
+            return None
+        return norm if target_inv in rep.failed_invariants() else None
 
-    changed = True
-    while changed:
-        changed = False
-        gen_labels = [s.label for s in current.steps if isinstance(s, GenStep)]
-        for label in gen_labels:
-            cand_steps = [
-                s for s in current.steps
-                if not (isinstance(s, GenStep) and s.label == label)
-                and not (isinstance(s, DeliverStep) and (s.label == label or s.label.startswith(label + ".")))
-            ]
-            cand = _normalize(Trace(current.seed, current.config, cand_steps))
-            if len(cand.steps) < len(current.steps) and fails(cand):
-                current = cand
-                changed = True
-                break
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(current.steps) - 1, -1, -1):
-            if not isinstance(current.steps[i], DeliverStep):
-                continue
-            cand = _normalize(Trace(current.seed, current.config, current.steps[:i] + current.steps[i + 1:]))
-            if fails(cand):
-                current = cand
-                changed = True
-                break
-    return current
+    for candidates in (_without_events, _without_deliveries):
+        shorter = steps
+        while shorter is not None:
+            steps = shorter
+            shorter = next((n for n in map(still_failing, candidates(steps)) if n is not None), None)
+    return Trace(failing.seed, failing.config, steps)
 
 
 # ---------------------------------------------------------------------------
 # Campaigns.
 
-def run_campaign(seed: int, executions: int, config: TraceConfig, keep_failures: int = 10):
+KEEP_FAILURES = 10
+
+
+def run_campaign(seed: int, executions: int, config: TraceConfig):
     """Run ``executions`` random traces and check every invariant.
 
     Returns a summary dict: per-invariant violation counts, the fraction of
     traces that exhibited a multi-valued register, the fraction that deleted
-    an object (a ``delete`` step with result ``ok``), and up to
-    ``keep_failures`` shrunk failing traces.
+    an object (a ``delete`` step with result ``ok``), and the first
+    ``KEEP_FAILURES`` failing traces, shrunk.
     """
     if executions < 1:
         raise ConfigInvalid("need at least one execution")
@@ -921,7 +926,7 @@ def run_campaign(seed: int, executions: int, config: TraceConfig, keep_failures:
         if not report.ok:
             for inv in sorted(report.failed_invariants()):
                 counts[inv] = counts.get(inv, 0) + 1
-            if len(failures) < keep_failures:
+            if len(failures) < KEEP_FAILURES:
                 failures.append((i, shrink(trace), report))
     return {
         "executions": executions,

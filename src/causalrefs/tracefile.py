@@ -145,6 +145,8 @@ def loads(text: str) -> Trace:
         seed = header["seed"]
     except (KeyError, TypeError) as e:
         raise TraceFormatError(f"malformed header: {e}") from e
+    if type(seed) is not int:
+        raise TraceFormatError("malformed header: seed must be an int")
     steps: list = []
     for i, ln in enumerate(lines[1:], start=2):
         try:

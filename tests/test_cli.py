@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from causalrefs import cli, explore, harness, stability, tracefile
 from causalrefs.cli import main
 from causalrefs.dot import snapshot_dot
-from causalrefs.harness import MAX_EVENTS, MAX_REPLICAS, TraceConfig, random_execution, replay
+from causalrefs.harness import MAX_EVENTS, MAX_REPLICAS, Trace, TraceConfig, random_execution, replay
 
 
 def edge_count(st):
@@ -40,6 +40,25 @@ def assert_one_line_exit_two(res, prefix):
     assert len(lines) == 1 and lines[0].startswith(prefix), res.output
 
 
+@pytest.mark.parametrize("args", [
+    ("run", "--seed", "x"),
+    ("explore", "--catalog", "big"),
+    ("check", "/nonexistent"),
+    ("check",),
+    ("bogus",),
+    ("--bogus",),
+])
+def test_usage_error_one_line_exit_two(args):
+    assert_one_line_exit_two(invoke(*args), "Error: ")
+
+
+@pytest.mark.parametrize("args, code", [((), 2), (("--help",), 0)])
+def test_group_help_kept(args, code):
+    res = invoke(*args)
+    assert res.exit_code == code, res.output
+    assert res.output.startswith("Usage:") and "Commands:" in res.output
+
+
 class TestRun:
     def test_clean_campaign_exit_zero(self):
         res = invoke("run", "--executions", "30", "--seed", "4")
@@ -51,8 +70,7 @@ class TestRun:
         assert res.exit_code == 2
 
     def test_bad_mode_exit_two(self):
-        res = invoke("run", "--mode", "eventual")
-        assert res.exit_code == 2
+        assert_one_line_exit_two(invoke("run", "--mode", "eventual"), "Error: ")
 
     @pytest.mark.parametrize("args", [
         ("--replicas", str(MAX_REPLICAS + 1)),
@@ -139,6 +157,11 @@ class TestCheck:
         "header-replicas-huge": lambda docs: docs[0]["config"].update(replicas=10**9),
         "header-events-over-max": lambda docs: docs[0]["config"].update(events=MAX_EVENTS + 1),
         "header-mode-unknown": lambda docs: docs[0]["config"].update(mode="eventual"),
+        "header-seed-string": lambda docs: docs[0].update(seed="abc"),
+        "header-seed-object": lambda docs: docs[0].update(seed={"x": 1}),
+        "header-seed-bool": lambda docs: docs[0].update(seed=True),
+        "header-seed-float": lambda docs: docs[0].update(seed=5.0),
+        "header-seed-missing": lambda docs: docs[0].pop("seed"),
         # Raw file contents rather than a change to a valid trace.
         "not-utf8": NOT_UTF8,
     }
@@ -242,6 +265,12 @@ class TestExportDot:
         path.write_text(tracefile.dumps(tr))
         assert invoke("export-dot", str(path), "--step", "100000", "--replica", "0").exit_code == 2
         assert invoke("export-dot", str(path), "--step", "0", "--replica", "7").exit_code == 2
+
+    def test_no_steps_exit_two(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text(tracefile.dumps(Trace(6, TraceConfig(), [])))
+        res = invoke("export-dot", str(path), "--step", "0", "--replica", "0")
+        assert_one_line_exit_two(res, "step 0 out of range: the trace has no steps")
 
     def test_missing_out_dir_exit_two(self, tmp_path):
         tr = random_execution(6, TraceConfig())

@@ -20,9 +20,11 @@ explorer misses the missing pledge within three events of ``basic_setup``
 and catches it within four of ``reclaim_setup``; the campaign catches it.
 """
 
+import hashlib
+
 import pytest
 
-from causalrefs import explore, ops, refs, stability
+from causalrefs import explore, ops, refs, stability, tracefile
 from causalrefs.explore import basic_catalog, basic_setup, explore_catalog, reclaim_setup
 from causalrefs.harness import (
     Checker,
@@ -37,6 +39,7 @@ from causalrefs.harness import (
     random_execution,
     removal_fault,
     replay,
+    shrink,
 )
 from causalrefs.model import ATOMIC, PURE_CAUSAL
 from causalrefs.scenarios import run_fig1
@@ -223,6 +226,41 @@ def test_generated_report_equals_replayed_report(monkeypatch, fault):
         assert violating == 0
     elif fault != "mark_deleted_first":
         assert violating > 0
+
+
+# Fault -> the sha256 of the shrunk forms (``tracefile.dumps``) of the first
+# three traces of campaign seed 11 at 2 replicas and 60 events, pure-causal,
+# that violate an invariant under it. The mark-deleted-first fault is
+# caught there in executions 2, 18 and 39, every other one within the first
+# five.
+SHRUNK_DIGESTS = {
+    "backward_retirement": "eae3b47dc6a77f9991de545017ad4b7800297dac34798346d4a7748d7489994e",
+    "forward_creation": "83e5681f9af315e0354677997ccedcea390aaf4d3ace881a84e1bf5bff56bb45",
+    "mark_deleted_first": "3c512844837671860381efe019b84aab0b724ee8fe1e336f749b4067869d050a",
+    "no_detection": "49d7c17d6fa6fd3011834cf40e44e47dfb21cae7b93d1a27889f7bc36cdb9b35",
+    "no_pledge": "041525b1ed4805238ebcaded5fb2d3c3234d4bf9d92f39eb0b22a6454b4680e5",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ALL_FAULTS))
+def test_shrunk_traces_pinned(monkeypatch, fault):
+    # Each shrunk trace still fails the first invariant its input failed,
+    # and the shrinker's output does not change.
+    ALL_FAULTS[fault](monkeypatch)
+    h = hashlib.sha256()
+    shrunk = 0
+    for i in range(40):
+        trace = random_execution(execution_seed(11, i), TraceConfig(replicas=2, events=60))
+        if trace.report.ok:
+            continue
+        small = shrink(trace)
+        assert trace.report.violations[0].invariant in check_invariants(small).failed_invariants(), i
+        h.update(tracefile.dumps(small).encode())
+        shrunk += 1
+        if shrunk == 3:
+            break
+    assert shrunk == 3
+    assert h.hexdigest() == SHRUNK_DIGESTS[fault]
 
 
 @pytest.mark.parametrize("fault", CHAIN_FAULTS)
