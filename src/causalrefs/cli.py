@@ -24,8 +24,9 @@ from .harness import (
     check_invariants,
     replay,
     run_campaign,
+    run_op,
 )
-from .model import MODES, PURE_CAUSAL, PreconditionFailure, SimulatorError, World
+from .model import MODES, PURE_CAUSAL, SimulatorError, World
 
 
 @contextlib.contextmanager
@@ -138,10 +139,9 @@ def cmd_check(trace_file):
 @main.command("explore")
 @click.option("--events", default=3, show_default=True,
               help=f"Program length bound (max {DEFAULT_BOUND}).")
-@click.option("--catalog", type=click.Choice(["basic"]), default="basic", show_default=True)
 @click.option("--replicas", default=2, show_default=True)
 @click.option("--mode", type=click.Choice(MODES), default=PURE_CAUSAL, show_default=True)
-def cmd_explore(events, catalog, replicas, mode):
+def cmd_explore(events, replicas, mode):
     """Exhaustively explore every catalog program up to the length bound."""
     try:
         report = explore_catalog(basic_catalog(), events, replicas=replicas,
@@ -193,13 +193,10 @@ def cmd_scenario(name, mode, dot_dir):
     if dot_dir:
         # Snapshot of one quiesced run of the same program for rendering.
         world = World(2, mode)
-        scenarios.fig1_setup(world)
+        basic_setup(world)
         world.quiesce()
         for replica, op in scenarios.fig1_program():
-            try:
-                world.execute(replica, op)
-            except PreconditionFailure:
-                pass
+            run_op(world, replica, op)  # a failed precondition is a result
             world.quiesce()
         _write_dots(world, dot_dir)
     if not report.ok:

@@ -42,7 +42,7 @@ a world after handing it on.
 The record clauses (I1, I3's local half, I4) are checked where payloads
 apply, by ``harness.Checker.on_apply`` on each replica state the search
 builds (``_check_state``): after a delivery on the delivered message, after
-a generation on the spawned chains at the origin's final state (a chain
+a generation on the new event's chain at the origin's final state (a chain
 applies there at once, so the states between its payloads are never
 reached), and at the root on every setup event at every replica. A record
 changes only through payloads and each payload's check covers every clause
@@ -207,11 +207,11 @@ class _Search:
     A generator reads only its replica's state, which, like the whole state
     behind the key, is a function of the events applied there and of the
     replica's delivery entry. So the outcome of running the op in slot
-    ``slot`` at ``replica`` (its result, the spawned events and the
-    replica's new delivery entry) is kept under ``(replica, slot, entry,
-    view)``, ``view`` being the interned events applied at the replica. A
-    later attempt with the same key derives its successor's signature from
-    the table and builds the successor only if it is fresh.
+    ``slot`` at ``replica`` (its result, the event it added if any, and
+    the replica's new delivery entry) is kept under ``(replica, slot,
+    entry, view)``, ``view`` being the interned events applied at the
+    replica. A later attempt with the same key derives its successor's
+    signature from the table and builds the successor only if it is fresh.
     """
 
     def __init__(self, replicas: int, mode: str, setup):
@@ -317,24 +317,24 @@ class _Search:
 
     def successor(self, world: World, sig: tuple, replica: int, outcome: tuple) -> tuple:
         """The signature after ``outcome`` of a generation at ``replica``:
-        the spawned events follow ``replica``'s earlier events."""
+        the added event, if any, follows ``replica``'s earlier events."""
         events, delivery = sig
-        _result, spawned, entry = outcome
-        if spawned:
+        _result, added, entry = outcome
+        if added is not None:
             at = sum(world.states[o].applied_full.get(o, 0) for o in range(replica + 1))
             old = self.values[events]
-            events = self._id(old[:at] + tuple(c for _eid, c in spawned) + old[at:])
+            events = self._id(old[:at] + (added[1],) + old[at:])
         return events, delivery[:replica] + (entry,) + delivery[replica + 1:]
 
     def _execute(self, world: World, replica: int, op: OpCall, order: tuple) -> tuple:
         """Run ``op`` at ``replica`` on ``world``, a fresh full copy, where
         the replica's order of order-sensitive messages is ``order``, which
         a generation leaves as it is. Returns the outcome: the result, the
-        spawned (event id, interned event) pairs and the replica's new
-        delivery entry."""
-        result, spawned = run_op(world, replica, op)
-        spawned = tuple((ev.id, self._intern(ev)) for ev in spawned)
-        return result, spawned, self._id(_delivery_sig(world.states[replica], order))
+        added event as an (event id, interned event) pair or None, and the
+        replica's new delivery entry."""
+        result, ev = run_op(world, replica, op)
+        added = None if ev is None else (ev.id, self._intern(ev))
+        return result, added, self._id(_delivery_sig(world.states[replica], order))
 
     def generate(self, world: World, k: int, sig: tuple, replica: int, op: OpCall, slot: int):
         """Run ``op`` (the op in ``slot`` of the program or catalog) at
@@ -344,8 +344,8 @@ class _Search:
         A known outcome gives the successor's signature without running
         the op; the successor is then built, on a full copy of ``world``,
         only if it is fresh, and must match the known outcome. A built
-        successor is checked: the spawned chains at ``replica`` and the
-        event log."""
+        successor is checked: the added event's chain at ``replica`` and
+        the event log."""
         key = self.outcome_key(world, sig, replica, slot)
         order = self.values[sig[1][replica]][2]
         outcome = self.outcomes.get(key)
@@ -363,8 +363,8 @@ class _Search:
             if actual != outcome:
                 raise SimulatorError(f"generation at replica {replica} gave {actual!r}, but "
                                      f"{outcome!r} on an equal view")
-        spawned = [msg for eid, _event in outcome[1] for msg in w2.events[eid].chain]
-        self.report.violations.extend(_check_state(self.checker, w2, w2.states[replica], spawned))
+        chain = w2.events[outcome[1][0]].chain if outcome[1] else ()
+        self.report.violations.extend(_check_state(self.checker, w2, w2.states[replica], chain))
         self.report.violations.extend(_check_refids(w2))
         return w2, new_sig, tuple(_enabled(w2, st) for st in w2.states)
 

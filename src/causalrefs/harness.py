@@ -14,14 +14,14 @@ the world it builds and keeps the report on the trace, ``replay`` runs it
 on any other trace, and the explorer on the states it reaches. Generation
 and replay end in the same quiescence checks (``check_tail``).
 
-The generator draws as CPython 3.11's ``random.Random`` does, without its
-generic argument handling: ``_Draws`` reproduces ``choice``, ``randrange``,
-``randint`` and ``sample`` through the stdlib's ``getrandbits`` rejection
-loop, and the weighted pick of an operation kind is the bisection
-``random.choices(kinds, cum_weights=...)`` makes. So a seed gives the trace
-it always gave; the golden digests (``perfbench/golden.json``), the pinned
-digests and the reference test against ``random.Random`` in
-``tests/test_harness.py`` hold this.
+The generator draws as CPython 3.11's ``random.Random`` does: ``choice``
+and the ``getrandbits`` rejection loop (``_randbelow``) are the stdlib's
+own, ``_Draws`` reproduces ``randrange``, ``randint`` and ``sample``
+without their generic argument handling, and the weighted pick of an
+operation kind is the bisection ``random.choices(kinds, cum_weights=...)``
+makes. So a seed gives the trace it always gave; the golden digests
+(``perfbench/golden.json``), the pinned digests and the reference test
+against ``random.Random`` in ``tests/test_harness.py`` hold this.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from . import stability
 # ``canon_objects`` is bound here, unused, because perfbench/tracing.py
@@ -45,7 +45,7 @@ from .model import (
     SimulatorError,
     World,
 )
-from .refs import InRefAdd, InRefRemove, MarkDeleted, OutRefSet
+from .refs import InRefAdd, InRefRemove, MarkDeleted, OutRefSet, derivable
 
 
 class ConfigInvalid(Exception):
@@ -187,23 +187,21 @@ def _format_result(kind: str, value) -> str:
 
 
 def run_op(world: World, replica: int, op: OpCall) -> tuple:
-    """Run one operation. Returns its recorded result string and the events
-    it spawned, in generation order: every event added to the log during
-    the call, including the query a failing delete registered."""
+    """Run one operation. Returns its recorded result string and the event
+    it added to the log, or None. A generator operation adds its own event
+    when it succeeds; a first ``may_delete``, and a ``delete`` that runs one
+    and fails, adds the query it registers. No operation adds two: one that
+    does raises SimulatorError."""
     before = len(world.events)
     try:
         result = _format_result(op.kind, world.execute(replica, op))
     except PreconditionFailure as e:
         result = f"err:{e.reason}"
-    # The log keeps generation order, so the spawned events are its tail.
-    spawned = list(islice(reversed(world.events.values()), len(world.events) - before))
-    spawned.reverse()
-    return result, spawned
-
-
-def _event_label(label: str, j: int) -> str:
-    """The label of the ``j``-th event spawned by the step labeled ``label``."""
-    return label if j == 0 else f"{label}.{j}"
+    added = len(world.events) - before
+    if added > 1:
+        raise SimulatorError(f"{op.kind} at replica {replica} added {added} events")
+    # The log keeps generation order, so an added event is its last.
+    return result, next(reversed(world.events.values())) if added else None
 
 
 # ---------------------------------------------------------------------------
@@ -238,46 +236,31 @@ def _deliver_all(world: World, replica: int, record, eid_labels: dict) -> None:
 
 
 class _Draws(random.Random):
-    """The generator's random source: ``random.Random`` seeded and stepped
-    as usual, with ``choice``, ``randrange(stop)``, ``randint`` and
-    ``sample`` taking only the arguments the generator passes. Each
-    returns what CPython 3.11's method returns from the same state and
-    leaves the same state behind: it draws through ``_below``, the
-    rejection loop of the stdlib's ``_randbelow_with_getrandbits``, and
-    ``sample`` keeps the stdlib's two algorithms, a copied pool when the
-    population is no larger than the set it would otherwise keep, and
-    rejection of repeats through a set above that. Errors keep the
-    stdlib's types. The golden digests and ``tests/test_harness.py``
-    (against ``random.Random`` itself) pin this."""
-
-    def _below(self, n: int) -> int:
-        """A uniform int in [0, n)."""
-        # getrandbits(0) is 0, which is never below 0: check first.
-        if n <= 0:
-            raise ValueError("empty range")
-        k = n.bit_length()
-        r = self.getrandbits(k)
-        while r >= n:
-            r = self.getrandbits(k)
-        return r
-
-    def choice(self, seq):
-        n = len(seq)
-        if not n:
-            raise IndexError("Cannot choose from an empty sequence")
-        return seq[self._below(n)]
+    """The generator's random source: ``random.Random``, whose own
+    ``choice`` and ``_randbelow`` it uses, with ``randrange(stop)``,
+    ``randint`` and ``sample`` taking only the arguments the generator
+    passes. Each returns what CPython 3.11's method returns from the same
+    state, leaves the same state behind and raises the same error types;
+    ``sample`` keeps the stdlib's two algorithms, a copied pool up to the
+    size of the set it would otherwise keep and rejection of repeats
+    through a set above that. The golden digests and
+    ``tests/test_harness.py`` (against ``random.Random`` itself) pin this."""
 
     def randrange(self, stop: int) -> int:
-        return self._below(stop)
+        # getrandbits(0) is 0, which is never below 0, so ``_randbelow``
+        # would loop for ever: refuse first.
+        if stop <= 0:
+            raise ValueError("empty range")
+        return self._randbelow(stop)
 
     def randint(self, a: int, b: int) -> int:
-        return a + self._below(b - a + 1)
+        return a + self.randrange(b - a + 1)
 
     def sample(self, population, k: int) -> list:
         n = len(population)
         if not 0 <= k <= n:
             raise ValueError("Sample larger than population or is negative")
-        below = self._below
+        below = self._randbelow
         result = [None] * k
         setsize = 21  # size of a small set minus size of an empty list
         if k > 5:
@@ -340,11 +323,11 @@ class DrawView:
                     with_attrs.append(key)
 
     def mintable(self) -> list:
-        """The live keys a new reference may target here, by the test of
-        ``refs._check_target_mintable`` without its pledge clause."""
+        """The live keys a new reference may target here by the mint rule
+        (``refs.derivable``), whatever this replica has pledged."""
         st = self.st
-        return [k for k in self.live
-                if st.objects[k].root or k in st.created_here or st.ref_counts.get(k, 0) > 0]
+        objects = st.objects
+        return [k for k in self.live if derivable(st, k, objects[k])]
 
     def assign_pools(self) -> tuple:
         """The (key, attr) pairs of the live keys with attributes,
@@ -408,8 +391,7 @@ def _draw_args(rng: _Draws, view: DrawView, replica: int, kind: str, next_keys: 
         if not with_attrs:
             return None
         source = rng.choice(with_attrs)
-        args = {"source": source, "attr": pick_attr(source)}
-        return args
+        return {"source": source, "attr": pick_attr(source)}
     if kind in ("may_delete", "delete"):
         pool = keys if kind == "may_delete" else [k for k in live if not st.objects[k].root]
         if not pool:
@@ -493,11 +475,11 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
         if op is None:
             op = OpCall("create", _draw_args(rng, view, replica, "create", next_keys))
         label = f"g{i}"
-        result, spawned = run_op(world, replica, op)
-        for j, ev in enumerate(spawned):
-            eid_labels[ev.id] = _event_label(label, j)
+        result, ev = run_op(world, replica, op)
+        if ev is not None:
+            eid_labels[ev.id] = label
+            successes.append(ev)
         record(GenStep(label, replica, op, result))
-        successes.extend(spawned)
     trace = Trace(seed, config, steps)
     trace.report = check_tail(world, checker, steps)
     return trace
@@ -523,9 +505,9 @@ def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
     norm: list = []
     for i, step in enumerate(trace.steps):
         if isinstance(step, GenStep):
-            result, spawned = run_op(world, step.replica, step.op)
-            for j, ev in enumerate(spawned):
-                labels[_event_label(step.label, j)] = ev.id
+            result, ev = run_op(world, step.replica, step.op)
+            if ev is not None:
+                labels[step.label] = ev.id
             if strict and result != step.result:
                 raise ReplayMismatch(f"step {i} ({step.label}): recorded {step.result!r}, got {result!r}")
             step = GenStep(step.label, step.replica, step.op, result)
@@ -859,7 +841,7 @@ def _checked_replay(trace: Trace, strict: bool) -> tuple:
 
 def _without_events(steps: list):
     """Each candidate without one label's generation steps; lenient replay
-    drops the deliveries of the events they spawned, as nothing binds them."""
+    drops the deliveries of the event they added, as nothing binds it."""
     for label in [s.label for s in steps if isinstance(s, GenStep)]:
         yield [s for s in steps if not (isinstance(s, GenStep) and s.label == label)]
 

@@ -300,8 +300,8 @@ class World:
         """Run an operation and return its value: a read-only operation's
         (invoke, may_delete), or "ok" for a generator operation.
 
-        A read may still spawn events (may_delete registers a stability
-        query on first use); ``harness.run_op`` reports what a call spawned.
+        A read may still add an event (may_delete registers a stability
+        query on first use), which ``harness.run_op`` reports.
         """
         read = READS.get(op.kind)
         if read is not None:

@@ -243,17 +243,31 @@ def _outref(rec: ObjectRecord, attr: str) -> OutRef:
     return out
 
 
+def _single_target(rec: ObjectRecord, attr: str, null_reason: str) -> str:
+    """The one target ``rec.attr`` holds, or a failure: ``MultiValued``,
+    or ``null_reason`` for an empty or NULL register."""
+    values = _outref(rec, attr).surviving()
+    if len(values) > 1:
+        raise PreconditionFailure("MultiValued", f"{rec.key}.{attr}")
+    if not values or values[0].target is None:
+        raise PreconditionFailure(null_reason, f"{rec.key}.{attr}")
+    return values[0].target
+
+
+def derivable(st: ReplicaState, key: str, rec: ObjectRecord) -> bool:
+    """The mint rule: a new reference to ``key`` (record ``rec``) derives
+    from an existing one, so ``key`` is a root, created or referenced here."""
+    return rec.root or key in st.created_here or st.ref_counts.get(key, 0) > 0
+
+
 def _check_target_mintable(st: ReplicaState, target: str) -> None:
-    """A new reference may only be derived from an existing one: the target
-    must be a root, created locally, or currently referenced here. A target
-    this replica has pledged as deletable (via a positive stability report)
-    admits no new references."""
+    """The target of a new reference is live, ``derivable`` and not
+    pledged as deletable here (by a positive stability report)."""
     rec = _live_record(st, target)
     if target in st.condemned:
         raise PreconditionFailure("TargetCondemned", target)
-    if rec.root or target in st.created_here or st.ref_counts.get(target, 0) > 0:
-        return
-    raise PreconditionFailure("UnreachableTarget", target)
+    if not derivable(st, target, rec):
+        raise PreconditionFailure("UnreachableTarget", target)
 
 
 def _mint_ref(st: ReplicaState) -> RefId:
@@ -323,17 +337,9 @@ def gen_init(world: World, st: ReplicaState, a: dict):
 
 
 def gen_assign(world: World, st: ReplicaState, a: dict):
-    dst, dst_attr, src, src_attr = a["dst"], a["dst_attr"], a["src"], a["src_attr"]
-    dst_rec = _live_record(st, dst)
-    _outref(dst_rec, dst_attr)
-    src_rec = _live_record(st, src)
-    src_out = _outref(src_rec, src_attr)
-    values = src_out.surviving()
-    if len(values) > 1:
-        raise PreconditionFailure("MultiValued", f"{src}.{src_attr}")
-    if not values or values[0].target is None:
-        raise PreconditionFailure("NullSource", f"{src}.{src_attr}")
-    target = values[0].target
+    dst, dst_attr = a["dst"], a["dst_attr"]
+    _outref(_live_record(st, dst), dst_attr)
+    target = _single_target(_live_record(st, a["src"]), a["src_attr"], "NullSource")
     _check_target_mintable(st, target)
     return _reference_chain(st, dst, dst_attr, target)
 
@@ -370,12 +376,4 @@ def gen_delete(world: World, st: ReplicaState, a: dict):
 # Read-only operations (no effectors).
 
 def read_invoke(world: World, replica: int, a: dict):
-    st = world.states[replica]
-    rec = _record(st, a["source"])
-    out = _outref(rec, a["attr"])
-    values = out.surviving()
-    if len(values) > 1:
-        raise PreconditionFailure("MultiValued", f"{a['source']}.{a['attr']}")
-    if not values or values[0].target is None:
-        raise PreconditionFailure("NullReference", f"{a['source']}.{a['attr']}")
-    return values[0].target
+    return _single_target(_record(world.states[replica], a["source"]), a["attr"], "NullReference")

@@ -14,7 +14,7 @@ deleted object.
 
 from __future__ import annotations
 
-from .explore import ExploreReport, exhaustive_explore
+from .explore import ExploreReport, basic_setup, exhaustive_explore
 from .model import OpCall, PURE_CAUSAL, World
 
 
@@ -45,14 +45,13 @@ def fig2_problems(world: World) -> list:
     problems = []
     for st in world.states:
         r = st.rid
-        bb = st.objects["B"].attrs["b"].surviving()
-        targets = sorted(e.target for e in bb)
+        targets = sorted(e.target for e in st.objects["B"].attrs["b"].surviving())
         if targets != ["X", "X", "Y"]:
             problems.append(f"replica {r}: B.b holds {targets}, expected two X and one Y")
-        if len(st.objects["X"].inref.current()) != 3:
-            problems.append(f"replica {r}: listing of X has {len(st.objects['X'].inref.current())} pairs, expected 3")
-        if len(st.objects["Y"].inref.current()) != 2:
-            problems.append(f"replica {r}: listing of Y has {len(st.objects['Y'].inref.current())} pairs, expected 2")
+        for key, expected in (("X", 3), ("Y", 2)):
+            listed = len(st.objects[key].inref.current())
+            if listed != expected:
+                problems.append(f"replica {r}: listing of {key} has {listed} pairs, expected {expected}")
         for key, attr in (("A", "a"), ("C", "c")):
             out = st.objects[key].attrs[attr]
             if not out.is_single_valued() or not out.non_null():
@@ -66,14 +65,8 @@ def run_fig2(mode: str = PURE_CAUSAL):
 
 
 # ---------------------------------------------------------------------------
-# fig1: the delete/copy race, explored exhaustively.
-
-def fig1_setup(world: World) -> None:
-    _create(world, 0, "A", True, ["a"])
-    _create(world, 0, "B", True, ["b"])
-    _create(world, 0, "X", False, ["x"])
-    world.generate(0, OpCall("init", {"source": "A", "attr": "a", "target": "X"}))
-
+# fig1: the delete/copy race, explored exhaustively, from ``basic_setup``:
+# roots A and B, X referenced only from A.a.
 
 FIG1_ASSIGN = 0   # program index of the copying assign
 FIG1_DELETE = 8   # program index of the delete attempt
@@ -97,7 +90,7 @@ def run_fig1(mode: str = PURE_CAUSAL) -> ExploreReport:
     empty iff the delete was refused on every path and no reachable state
     dangles (I1, checked per state by the explorer). The assign runs first,
     on the quiesced setup, so it succeeds on every path."""
-    report = exhaustive_explore(fig1_program(), replicas=2, mode=mode, setup=fig1_setup)
+    report = exhaustive_explore(fig1_program(), replicas=2, mode=mode, setup=basic_setup)
     if "ok" in report.results[FIG1_DELETE]:
         report.violations.append("fig1: delete of X succeeded although the concurrent assign exists")
     return report

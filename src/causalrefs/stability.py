@@ -181,22 +181,19 @@ def may_delete(world: World, replica: int, target: str, last: frozenset) -> bool
         raise PreconditionFailure("UnknownObject", target)
     if rec.root:
         return False
-    key = (target, last)
-    if key not in st.queries:
+    q = st.queries.get((target, last))
+    if q is None:
         world.generate(replica, OpCall(
             "register_query",
             {"target": target, "last": sorted(list(r) for r in last)},
         ))
         return False
-    return stably_subset(world, replica, target, last)
+    return q.stable
 
 
 def read_may_delete(world: World, replica: int, a: dict):
-    st = world.states[replica]
     target = a["target"]
-    if target not in st.objects:
-        raise PreconditionFailure("UnknownObject", target)
-    last = last_refs_arg(st, target, a.get("last", "auto"))
+    last = last_refs_arg(world.states[replica], target, a.get("last", "auto"))
     return may_delete(world, replica, target, last)
 
 
@@ -234,6 +231,9 @@ def oracle_stable(world: World, target: str, last: frozenset) -> bool:
         rec = st.objects.get(target)
         if rec is None or rec.deleted or rec.root:
             continue
+        # The mint rule, stated again rather than shared with
+        # ``refs.derivable``: an oracle that called the rule it judges would
+        # change with every mutant of that rule and miss it.
         derivable = target in st.created_here or st.ref_counts.get(target, 0) > 0
         if derivable and target not in st.condemned:
             return False

@@ -101,8 +101,11 @@ def _op(doc: dict) -> OpCall:
     if not isinstance(args.get("root", False), bool):
         raise TraceFormatError(f"{kind} argument 'root' is not a boolean")
     last = args.get("last", "auto")
-    if last != "auto" and not (isinstance(last, list) and all(_is_ref(r) for r in last)):
-        raise TraceFormatError(f"{kind} argument 'last' is neither \"auto\" nor a list of refs")
+    if not (isinstance(last, list) and all(_is_ref(r) for r in last)):
+        if kind == "register_query":
+            raise TraceFormatError(f"{kind} argument 'last' is not a list of refs")
+        if last != "auto":
+            raise TraceFormatError(f"{kind} argument 'last' is neither \"auto\" nor a list of refs")
     return OpCall(kind, args)
 
 
@@ -148,9 +151,16 @@ def loads(text: str) -> Trace:
     if type(seed) is not int:
         raise TraceFormatError("malformed header: seed must be an int")
     steps: list = []
+    # Replay binds each generation label to one event, so none may repeat.
+    gen_labels: set = set()
     for i, ln in enumerate(lines[1:], start=2):
         try:
-            steps.append(_step(json.loads(ln), config.replicas))
+            step = _step(json.loads(ln), config.replicas)
+            if isinstance(step, GenStep):
+                if step.label in gen_labels:
+                    raise TraceFormatError(f"generation label {step.label!r} used twice")
+                gen_labels.add(step.label)
+            steps.append(step)
         except TraceFormatError as e:
             raise TraceFormatError(f"line {i}: {e}") from e
         except (json.JSONDecodeError, KeyError, TypeError) as e:

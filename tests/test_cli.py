@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from causalrefs import cli, explore, harness, stability, tracefile
 from causalrefs.cli import main
 from causalrefs.dot import snapshot_dot
 from causalrefs.harness import MAX_EVENTS, MAX_REPLICAS, Trace, TraceConfig, random_execution, replay
+from causalrefs.model import MODES
 
 
 def edge_count(st):
@@ -162,6 +164,13 @@ class TestCheck:
         "header-seed-bool": lambda docs: docs[0].update(seed=True),
         "header-seed-float": lambda docs: docs[0].update(seed=5.0),
         "header-seed-missing": lambda docs: docs[0].pop("seed"),
+        # A query's ignore-set is a list of refs, never computed.
+        "register-query-last-auto": lambda docs: docs.append(
+            {"type": "gen", "label": "q", "replica": 0, "result": "ok",
+             "op": {"kind": "register_query", "args": {"target": "X", "last": "auto"}}}),
+        # A second generation step under the first one's label.
+        "gen-label-repeated": lambda docs: docs.append(
+            dict(TestCheck.first_gen(docs), op={"kind": "announce", "args": {}}, result="ok")),
         # Raw file contents rather than a change to a valid trace.
         "not-utf8": NOT_UTF8,
     }
@@ -236,6 +245,24 @@ class TestScenario:
         assert text.startswith("digraph")
         # Figure-2 shape: 3 entries in B.b plus A.a and C.c -> 5 edges.
         assert text.count("->") == 5
+
+    # sha256 of each scenario's graph files, by name and content in name
+    # order; fig1's are one quiesced run of its program, fig2's its final
+    # state. Both modes give the same files.
+    DOT_DIGESTS = {
+        "fig1": "4335a76f29377ef0638df1e4a08a84f89d0a0c1d4ee39728c0e3b69aab04af25",
+        "fig2": "d88b10a677e25bf5df8f2c0f75f37156226f174cd3db4fcac0200ef65a286ae6",
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", sorted(DOT_DIGESTS))
+    def test_dot_files_pinned(self, tmp_path, name, mode):
+        res = invoke("scenario", name, "--mode", mode, "--dot", str(tmp_path / "d"))
+        assert res.exit_code == 0, res.output
+        h = hashlib.sha256()
+        for path in sorted((tmp_path / "d").iterdir()):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert h.hexdigest() == self.DOT_DIGESTS[name]
 
     def test_unknown_name_exit_two(self):
         res = invoke("scenario", "fig3")

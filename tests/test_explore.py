@@ -271,7 +271,7 @@ def test_successor_keys_and_shared_states(monkeypatch, mode, replicas):
 
     def checked_generate(search, world, k, sig, replica, op, slot):
         full = world.clone()
-        expected, _spawned = run_op(full, replica, op)
+        expected, _added = run_op(full, replica, op)
         key = search.outcome_key(world, sig, replica, slot)
         known = key in search.outcomes
         child = generate(search, world, k, sig, replica, op, slot)
@@ -595,7 +595,7 @@ def _walk(prog, mode, replicas=2):
             terminal.add(key)
         if k < len(prog):
             w2 = world.clone()
-            result, _spawned = run_op(w2, *prog[k])
+            result, _added = run_op(w2, *prog[k])
             results.setdefault(k, set()).add(result)
             rec(w2, k + 1)
         for replica, mkey in deliveries:

@@ -7,7 +7,7 @@ from bisect import bisect
 import pytest
 
 from canon_reference import world_fingerprint
-from causalrefs import harness, tracefile
+from causalrefs import harness, ops, tracefile
 from causalrefs.harness import (
     DEFAULT_WEIGHTS,
     Checker,
@@ -27,7 +27,7 @@ from causalrefs.harness import (
     shrink,
 )
 from causalrefs.harness import ReplayMismatch
-from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, World
+from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, SimulatorError, World
 from causalrefs.stability import ClockAnnounce, QueryRegister
 
 
@@ -310,8 +310,8 @@ def test_draw_view_matches_reference(monkeypatch, replicas, events, traces, mode
 
 
 class TestRunOpSpawned:
-    """``run_op`` reports exactly the events added to the log during the
-    call, in generation order."""
+    """``run_op`` reports exactly the event added to the log during the
+    call, or None, and refuses a call that adds two."""
 
     @staticmethod
     def unreferenced_x():
@@ -324,15 +324,15 @@ class TestRunOpSpawned:
     @staticmethod
     def run(world, op):
         before = len(world.events)
-        result, spawned = run_op(world, 0, op)
-        assert spawned == list(world.events.values())[before:]
-        return result, [(ev.id, ev.op.kind) for ev in spawned]
+        result, ev = run_op(world, 0, op)
+        assert list(world.events.values())[before:] == ([] if ev is None else [ev])
+        return result, None if ev is None else (ev.id, ev.op.kind)
 
     def test_failing_delete_reports_the_query_it_registered(self):
         w = self.unreferenced_x()
-        result, spawned = self.run(w, OpCall("delete", {"target": "X", "last": []}))
+        result, added = self.run(w, OpCall("delete", {"target": "X", "last": []}))
         assert result == "err:NotUnreachable"
-        assert spawned == [((0, 3), "register_query")]
+        assert added == ((0, 3), "register_query")
 
     def test_successful_delete(self):
         w = self.unreferenced_x()
@@ -342,15 +342,28 @@ class TestRunOpSpawned:
             for r in range(w.n):
                 w.generate(r, OpCall("announce"))
             w.quiesce()
-        result, spawned = self.run(w, OpCall("delete", {"target": "X", "last": []}))
+        result, added = self.run(w, OpCall("delete", {"target": "X", "last": []}))
         assert result == "ok"
-        assert spawned == [((0, 6), "delete")]
+        assert added == ((0, 6), "delete")
 
     def test_first_may_delete_registers_its_query(self):
         w = self.unreferenced_x()
         op = OpCall("may_delete", {"target": "X", "last": []})
-        assert self.run(w, op) == ("false", [((0, 3), "register_query")])
-        assert self.run(w, op) == ("false", [])
+        assert self.run(w, op) == ("false", ((0, 3), "register_query"))
+        assert self.run(w, op) == ("false", None)
+
+    def test_two_events_raise(self, monkeypatch):
+        # No generator adds a second event; one that did would leave the
+        # first without a label of its own.
+        announce = ops.GENERATORS["announce"]
+
+        def announce_twice(world, st, a):
+            world.generate(st.rid, OpCall("create", {"key": "Y"}))
+            return announce(world, st, a)
+
+        monkeypatch.setitem(ops.GENERATORS, "announce", announce_twice)
+        with pytest.raises(SimulatorError, match="added 2 events"):
+            run_op(self.unreferenced_x(), 0, OpCall("announce"))
 
 
 class TestReplay:

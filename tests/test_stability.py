@@ -111,8 +111,8 @@ class TestDetection:
 
     def test_root_never_deletable_and_no_query_raised(self):
         w = unreferenced_world()
-        result, spawned = run_op(w, 0, OpCall("may_delete", {"target": "A", "last": []}))
-        assert result == "false" and spawned == []
+        result, added = run_op(w, 0, OpCall("may_delete", {"target": "A", "last": []}))
+        assert result == "false" and added is None
         assert not w.states[0].queries
 
     def test_in_flight_reference_blocks_detection(self):
