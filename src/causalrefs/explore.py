@@ -248,7 +248,7 @@ class _Search:
         from three replicas on also its dependencies on other origins."""
         key = ev.chain
         if self.root.n > 2:
-            key = key, tuple(sorted((r, c) for r, c in ev.deps.items() if r != ev.replica))
+            key = key, tuple(sorted((r, c) for r, c in ev.deps.items() if r != ev.id[0]))
         return self._id(key)
 
     def _id(self, value: tuple) -> int:

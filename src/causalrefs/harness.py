@@ -190,8 +190,8 @@ def run_op(world: World, replica: int, op: OpCall) -> tuple:
     """Run one operation. Returns its recorded result string and the event
     it added to the log, or None. A generator operation adds its own event
     when it succeeds; a first ``may_delete``, and a ``delete`` that runs one
-    and fails, adds the query it registers. No operation adds two: one that
-    does raises SimulatorError."""
+    and fails, adds the query it emits (``World.emit``). No operation adds
+    two: one that does raises SimulatorError."""
     before = len(world.events)
     try:
         result = _format_result(op.kind, world.execute(replica, op))
@@ -619,15 +619,12 @@ def log_faults(world: World) -> list:
                 if kind is InRefAdd:
                     prev = added.setdefault(p.ref, eid)
                     if prev != eid:
-                        out.append(("I2", ev.replica, f"ref {p.ref} added by {prev} and {eid}"))
+                        out.append(("I2", eid[0], f"ref {p.ref} added by {prev} and {eid}"))
                     adds.append((ev, target, p))
-                elif kind is OutRefSet:
-                    for e in p.entries:
-                        if e.ref is None:
-                            continue
-                        prev = intro.setdefault(e.ref, eid)
-                        if prev != eid:
-                            out.append(("I2", ev.replica, f"ref {e.ref} introduced by {prev} and {eid}"))
+                elif kind is OutRefSet and p.entry.ref is not None:
+                    prev = intro.setdefault(p.entry.ref, eid)
+                    if prev != eid:
+                        out.append(("I2", eid[0], f"ref {p.entry.ref} introduced by {prev} and {eid}"))
                 elif kind is MarkDeleted:
                     deletes.append((ev, target, p.last))
     for d, target, last in deletes:
@@ -636,7 +633,7 @@ def log_faults(world: World) -> list:
                 continue
             r, seq = ev.id
             if d.deps.get(r, 0) < seq:
-                out.append(("I3", d.replica,
+                out.append(("I3", d.id[0],
                             f"add of ({p.source},{p.ref}) to {target} by {ev.id} not before delete {d.id}"))
     return out
 
@@ -703,11 +700,10 @@ class Checker:
             kind = type(p)
             if kind is OutRefSet:
                 out = st.objects[target].attrs[p.attr]
-                for e in p.entries:
-                    if e.target is not None and e.write_dot in out.entries:
-                        bad = entry_fault(st, target, p.attr, e)
-                        if bad is None:
-                            continue
+                e = p.entry
+                if e.target is not None and e.write_dot in out.entries:
+                    bad = entry_fault(st, target, p.attr, e)
+                    if bad is not None:
                         trec = st.objects.get(e.target)
                         if trec is not None and trec.deleted:
                             # The deleted target is targeted now; that

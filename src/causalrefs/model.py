@@ -4,7 +4,8 @@ A ``World`` holds a fixed set of replicas. Operations run in two phases:
 a generator executes at one replica (checking preconditions, no shared-state
 mutation) and emits an ordered chain of effector messages; effectors are
 applied atomically at the origin and delivered to every other replica in
-chain order, after everything the event causally depends on.
+chain order, after everything the event causally depends on. A deletion
+check registers its stability query as an event with no operation (``emit``).
 
 Worlds are single-threaded and deterministic: the same sequence of
 ``execute``/``apply_message`` calls always produces the same state.
@@ -101,9 +102,7 @@ class EffectorMessage:
 
 @dataclass
 class Event:
-    id: EventId
-    replica: ReplicaId
-    op: OpCall
+    id: EventId  # its origin replica is id[0]
     deps: dict  # vector clock snapshot at generation (causally closed)
     chain: tuple  # ordered EffectorMessages (length 1 in atomic mode)
 
@@ -268,25 +267,25 @@ class World:
     # -- generation ---------------------------------------------------------
 
     def generate(self, replica: ReplicaId, op: OpCall) -> Event:
-        """Run ``op``'s generator at ``replica``.
-
-        On success the effector chain is applied at the origin immediately
-        and atomically, and enqueued for every other replica. Raises
-        PreconditionFailure if any precondition fails.
-        """
-        st = self.states[replica]
+        """Run ``op``'s generator at ``replica`` and ``emit`` the payloads it
+        builds. Raises PreconditionFailure if any precondition fails."""
         build = GENERATORS.get(op.kind)
         if build is None:
             raise SimulatorError(f"unknown operation kind {op.kind!r}")
-        payloads = build(self, st, op.args)
+        return self.emit(replica, build(self, self.states[replica], op.args))
 
+    def emit(self, replica: ReplicaId, payloads: list) -> Event:
+        """Log an event at ``replica`` carrying ``payloads``, its chain's
+        (target key or None, payload) pairs in order: applied at the origin
+        at once and atomically, and enqueued for every other replica."""
+        st = self.states[replica]
         seq = st.applied_full.get(replica, 0) + 1
         eid = (replica, seq)
         if self.mode == ATOMIC:
             chain = (EffectorMessage(eid, 0, tuple(payloads)),)
         else:
             chain = tuple(EffectorMessage(eid, i, (item,)) for i, item in enumerate(payloads))
-        ev = Event(eid, replica, op, st.clock(), chain)
+        ev = Event(eid, st.clock(), chain)
         self.events[eid] = ev
         for msg in chain:
             self._apply(st, msg)
@@ -300,7 +299,7 @@ class World:
         """Run an operation and return its value: a read-only operation's
         (invoke, may_delete), or "ok" for a generator operation.
 
-        A read may still add an event (may_delete registers a stability
+        A read may still add an event (may_delete ``emit``s a stability
         query on first use), which ``harness.run_op`` reports.
         """
         read = READS.get(op.kind)

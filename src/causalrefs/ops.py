@@ -1,6 +1,8 @@
 """Operation registries: generator functions, read-only operations, and
 effector payload appliers, keyed for dispatch by the world model, plus the
-arguments each operation kind requires."""
+arguments each operation kind requires. The operation tables list only the
+operations clients call, the kinds a trace file may name; a stability query
+has no operation (``stability.may_delete`` emits its registration)."""
 
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ GENERATORS = {
     "assign_null": refs.gen_assign_null,
     "delete": refs.gen_delete,
     "announce": stability.gen_announce,
-    "register_query": stability.gen_register_query,
 }
 
 READS = {
@@ -57,7 +58,6 @@ REQUIRED_ARGS = {
     "assign_null": ("source", "attr"),
     "delete": ("target",),
     "announce": (),
-    "register_query": ("target", "last"),
     "invoke": ("source", "attr"),
     "may_delete": ("target",),
 }

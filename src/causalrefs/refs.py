@@ -3,11 +3,11 @@ application-level operations (create, init, assign, assign-null, invoke,
 delete) expressed as generator functions plus effector payloads.
 
 An outref behaves like a multi-value register of reference entries: an
-assignment overwrites every entry its generator observed, while entries
-written concurrently survive side by side. An inref is a two-set reference
-listing on the target: pairs (source key, reference id) enter ``added``
-when a reference is created and ``removed`` when it is retired; the current
-listing is the difference.
+assignment writes one entry over every entry its generator observed, while
+entries written concurrently survive side by side. An inref is a two-set
+reference listing on the target: pairs (source key, reference id) enter
+``added`` when a reference is created and ``removed`` when it is retired;
+the current listing is the difference.
 
 Ordering is fixed at generation time. Creating or copying a reference runs
 backward (inref-add on the target, then the outref write on the source);
@@ -145,12 +145,11 @@ class ObjectRecord:
 
 
 # ---------------------------------------------------------------------------
-# Effector payloads. Each payload updates a single object and is fully
-# self-contained: the generator bakes in everything it observed.
+# Effector payloads. Each payload updates the single object its chain pair
+# names as target, and carries everything else the generator observed.
 
 @dataclass(frozen=True, slots=True)
 class ObjectCreate:
-    key: str
     root: bool
     attrs: tuple[str, ...]
 
@@ -170,7 +169,7 @@ class InRefRemove:
 @dataclass(frozen=True, slots=True)
 class OutRefSet:
     attr: str
-    entries: tuple[OutRefEntry, ...]
+    entry: OutRefEntry  # the one value this write puts
     retired: frozenset[Dot]  # write context: the dots this write overwrites
 
 
@@ -189,18 +188,18 @@ def apply_outref_set(world: World, st: ReplicaState, key: str, p: OutRefSet) -> 
         e = out.entries.pop(dot, None)
         if e is not None and e.target is not None:
             st.ref_counts[e.target] -= 1
-    for e in p.entries:
-        if e.write_dot not in out.retired:
-            out.entries[e.write_dot] = e
-            if e.target is not None:
-                st.ref_counts[e.target] = st.ref_counts.get(e.target, 0) + 1
+    e = p.entry
+    if e.write_dot not in out.retired:
+        out.entries[e.write_dot] = e
+        if e.target is not None:
+            st.ref_counts[e.target] = st.ref_counts.get(e.target, 0) + 1
 
 
 def apply_object_create(world: World, st: ReplicaState, key: str, p: ObjectCreate) -> None:
-    if p.key in st.objects:
-        raise SimulatorError(f"object {p.key} already exists at replica {st.rid}")
-    st.objects[p.key] = ObjectRecord(p.key, p.root, p.attrs)
-    st.owned.add(p.key)
+    if key in st.objects:
+        raise SimulatorError(f"object {key} already exists at replica {st.rid}")
+    st.objects[key] = ObjectRecord(key, p.root, p.attrs)
+    st.owned.add(key)
 
 
 def apply_inref_add(world: World, st: ReplicaState, key: str, p: InRefAdd) -> None:
@@ -288,7 +287,7 @@ def _write(st: ReplicaState, source: str, attr: str, target: str | None, ref: Re
     non-NULL entry]."""
     overwritten = st.objects[source].attrs[attr].surviving()
     ctx = frozenset(e.write_dot for e in overwritten)
-    chain = [(source, OutRefSet(attr, (OutRefEntry(target, ref, _mint_dot(st)),), ctx))]
+    chain = [(source, OutRefSet(attr, OutRefEntry(target, ref, _mint_dot(st)), ctx))]
     for e in sorted((e for e in overwritten if e.target is not None), key=lambda e: e.ref):
         chain.append((e.target, InRefRemove(source, e.ref)))
     return chain
@@ -323,7 +322,7 @@ def gen_create(world: World, st: ReplicaState, a: dict):
     key = a["key"]
     if key in st.objects:
         raise PreconditionFailure("KeyInUse", key)
-    payload = ObjectCreate(key, bool(a.get("root", False)), tuple(a.get("attrs", ())))
+    payload = ObjectCreate(bool(a.get("root", False)), tuple(a.get("attrs", ())))
     st.created_here.add(key)
     return [(key, payload)]
 

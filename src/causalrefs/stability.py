@@ -3,7 +3,8 @@
 Deciding that a target's reference listing is empty (modulo an ignore-set)
 "and will stay empty" amounts to termination detection. Replicas gossip
 their progress: an announcement carries the announcer's applied clock plus,
-for every registered query, a report of whether the condition holds locally.
+for every registered query, a report: the pair (query key, whether the
+condition holds locally), where a query key is (target, ignore-set).
 Every replica runs the same observer machine over the announcements it
 receives:
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
-    OpCall,
     PreconditionFailure,
     ReplicaState,
     SimulatorError,
@@ -41,17 +41,10 @@ QueryKey = tuple[str, frozenset]
 
 
 @dataclass(frozen=True, slots=True)
-class Report:
-    target: str
-    last: frozenset
-    holds: bool
-
-
-@dataclass(frozen=True, slots=True)
 class ClockAnnounce:
     announcer: int
     clock: tuple
-    reports: tuple
+    reports: tuple  # (query key, holds) pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,20 +102,8 @@ def _query_sort_key(key: QueryKey):
     return (key[0], sorted(key[1]))
 
 
-def _condition_holds(st: ReplicaState, target: str, last: frozenset) -> bool:
-    rec = st.objects.get(target)
-    if rec is None:
-        return False
-    return rec.inref.refs_within(last)
-
-
 # ---------------------------------------------------------------------------
 # Generators and appliers.
-
-def gen_register_query(world: World, st: ReplicaState, a: dict):
-    last = frozenset(tuple(r) for r in a["last"])
-    return [(None, QueryRegister(a["target"], last))]
-
 
 def apply_query_register(world: World, st: ReplicaState, target, p: QueryRegister) -> None:
     key = (p.target, p.last)
@@ -135,12 +116,13 @@ def gen_announce(world: World, st: ReplicaState, a: dict):
     reports = []
     for key in sorted(st.queries, key=_query_sort_key):
         target, last = key
-        holds = _condition_holds(st, target, last)
+        rec = st.objects.get(target)
+        holds = rec is not None and rec.inref.refs_within(last)
         if holds:
             # Pledge: having vouched that the target is deletable, this
             # replica refuses to mint new references to it from now on.
             st.condemned.add(target)
-        reports.append(Report(target, last, holds))
+        reports.append((key, holds))
     return [(None, ClockAnnounce(st.rid, clock, tuple(reports)))]
 
 
@@ -148,13 +130,13 @@ def apply_clock_announce(world: World, st: ReplicaState, target, p: ClockAnnounc
     # Every report holds at the announce's clock; decode it once. Clock
     # dicts are never mutated in place, so the observers may share it.
     clock = dict(p.clock)
-    for rep in p.reports:
-        q = st.queries.get((rep.target, rep.last))
+    for key, holds in p.reports:
+        q = st.queries.get(key)
         if q is None:
             # Registration travels the same causal channel, so it always
             # precedes any report for its query.
-            raise SimulatorError(f"report for unregistered query {rep.target} at replica {st.rid}")
-        q.report(p.announcer, rep.holds, clock)
+            raise SimulatorError(f"report for unregistered query {key[0]} at replica {st.rid}")
+        q.report(p.announcer, holds, clock)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +165,7 @@ def may_delete(world: World, replica: int, target: str, last: frozenset) -> bool
         return False
     q = st.queries.get((target, last))
     if q is None:
-        world.generate(replica, OpCall(
-            "register_query",
-            {"target": target, "last": sorted(list(r) for r in last)},
-        ))
+        world.emit(replica, [(None, QueryRegister(target, last))])
         return False
     return q.stable
 

@@ -92,8 +92,8 @@ def _op(doc: dict) -> OpCall:
     for name in ops.REQUIRED_ARGS[kind]:
         if name not in args:
             raise TraceFormatError(f"{kind} lacks argument {name!r}")
-        # Every required argument but ``last`` names an object or attribute.
-        if name != "last" and not isinstance(args[name], str):
+        # Every required argument names an object or attribute.
+        if not isinstance(args[name], str):
             raise TraceFormatError(f"{kind} argument {name!r} is not a string")
     attrs = args.get("attrs", [])
     if not isinstance(attrs, list) or not all(isinstance(a, str) for a in attrs):
@@ -101,11 +101,8 @@ def _op(doc: dict) -> OpCall:
     if not isinstance(args.get("root", False), bool):
         raise TraceFormatError(f"{kind} argument 'root' is not a boolean")
     last = args.get("last", "auto")
-    if not (isinstance(last, list) and all(_is_ref(r) for r in last)):
-        if kind == "register_query":
-            raise TraceFormatError(f"{kind} argument 'last' is not a list of refs")
-        if last != "auto":
-            raise TraceFormatError(f"{kind} argument 'last' is neither \"auto\" nor a list of refs")
+    if last != "auto" and not (isinstance(last, list) and all(_is_ref(r) for r in last)):
+        raise TraceFormatError(f"{kind} argument 'last' is neither \"auto\" nor a list of refs")
     return OpCall(kind, args)
 
 

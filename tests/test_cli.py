@@ -164,10 +164,14 @@ class TestCheck:
         "header-seed-bool": lambda docs: docs[0].update(seed=True),
         "header-seed-float": lambda docs: docs[0].update(seed=5.0),
         "header-seed-missing": lambda docs: docs[0].pop("seed"),
-        # A query's ignore-set is a list of refs, never computed.
+        # Only a deletion check registers a query; no operation does, so a
+        # trace cannot name one, however well-formed its arguments.
         "register-query-last-auto": lambda docs: docs.append(
             {"type": "gen", "label": "q", "replica": 0, "result": "ok",
              "op": {"kind": "register_query", "args": {"target": "X", "last": "auto"}}}),
+        "register-query-step": lambda docs: docs.append(
+            {"type": "gen", "label": "q", "replica": 0, "result": "ok",
+             "op": {"kind": "register_query", "args": {"target": "nope", "last": []}}}),
         # A second generation step under the first one's label.
         "gen-label-repeated": lambda docs: docs.append(
             dict(TestCheck.first_gen(docs), op={"kind": "announce", "args": {}}, result="ok")),

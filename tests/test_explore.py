@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import json
@@ -21,7 +22,7 @@ from causalrefs.harness import run_op
 from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, World
 from causalrefs.ops import APPLIERS, ORDER_SENSITIVE
 from causalrefs.refs import InRefAdd, InRefRemove, MarkDeleted, ObjectCreate, OutRefEntry, OutRefSet
-from causalrefs.stability import ClockAnnounce, QueryRegister, Report
+from causalrefs.stability import ClockAnnounce, QueryRegister
 
 # (states, terminals) of the basic catalog per event bound and mode; a key
 # that merged different states or split equal ones would change them. The
@@ -348,8 +349,8 @@ def _behind_key(world):
          tuple(sorted(st.condemned)), tuple(sorted(st.created_here)), st.next_ref, st.next_dot)
         for st in world.states)
     waits = tuple(sorted(
-        (eid, r, tuple(sorted((p, c) for p, c in ev.deps.items() if p not in (r, ev.replica))))
-        for eid, ev in world.events.items() for r in range(world.n) if r != ev.replica))
+        (eid, r, tuple(sorted((p, c) for p, c in ev.deps.items() if p not in (r, eid[0]))))
+        for eid, ev in world.events.items() for r in range(world.n) if r != eid[0]))
     return replicas, waits
 
 
@@ -423,14 +424,15 @@ def _payloads(world):
     ref = dot = (9, 0)
     clock = ((0, 9),)
     return [
-        ("Z", ObjectCreate("Z", False, ("z",))),
+        ("Z", ObjectCreate(False, ("z",))),
         ("X", InRefAdd("B", ref)),
         ("X", InRefRemove("A", held)),
-        ("B", OutRefSet("b", (OutRefEntry("X", ref, dot),), frozenset())),
-        ("A", OutRefSet("a", (), frozenset(world.states[0].objects["A"].attrs["a"].entries))),
+        ("B", OutRefSet("b", OutRefEntry("X", ref, dot), frozenset())),
+        ("A", OutRefSet("a", OutRefEntry(None, None, (9, 1)),
+                        frozenset(world.states[0].objects["A"].attrs["a"].entries))),
         ("X", MarkDeleted(frozenset())),
         (None, QueryRegister("B", frozenset())),
-        (None, ClockAnnounce(1, clock, (Report("X", frozenset(), True),))),
+        (None, ClockAnnounce(1, clock, ((("X", frozenset()), True),))),
     ]
 
 
@@ -469,7 +471,7 @@ def test_order_insensitive_payloads_commute():
     held = world.states[0].objects["A"].attrs["a"].non_null()[0].ref
     payloads = _payloads(world) + [
         ("X", MarkDeleted(frozenset({held}))),
-        (None, ClockAnnounce(0, ((0, 9), (1, 3)), (Report("X", frozenset(), False),))),
+        (None, ClockAnnounce(0, ((0, 9), (1, 3)), ((("X", frozenset()), False),))),
     ]
     sensitive = 0
     for i, first in enumerate(payloads):
@@ -485,6 +487,29 @@ def test_order_insensitive_payloads_commute():
             else:
                 assert finals[0] == finals[1], (first, second)
     assert sensitive == 2
+
+
+def _fields(p) -> tuple:
+    """The values of ``p``'s fields, in constructor order."""
+    return tuple(getattr(p, name) for name in p.__match_args__)
+
+
+def test_payloads_hash_and_equal_only_their_own_type():
+    # ``_Search._intern`` keys events by their chains, so every payload
+    # hashes and equals a rebuilt copy of itself, and none equals a payload
+    # of another type or a plain tuple holding the same values (as a
+    # NamedTuple payload would).
+    payloads = {type(p): p for _target, p in _payloads(_payload_world())}
+    assert set(payloads) == set(APPLIERS)
+    for kind, p in payloads.items():
+        rebuilt = kind(*copy.deepcopy(_fields(p)))
+        assert rebuilt is not p and rebuilt == p and hash(rebuilt) == hash(p)
+        assert p != _fields(p)
+        for other, q in payloads.items():
+            if other is not kind:
+                assert p != q
+                if len(_fields(q)) == len(_fields(p)):
+                    assert other(*_fields(p)) != p
 
 
 @pytest.mark.parametrize("prog", [

@@ -28,6 +28,7 @@ from causalrefs.harness import (
 )
 from causalrefs.harness import ReplayMismatch
 from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, SimulatorError, World
+from causalrefs.refs import MarkDeleted
 from causalrefs.stability import ClockAnnounce, QueryRegister
 
 
@@ -326,13 +327,14 @@ class TestRunOpSpawned:
         before = len(world.events)
         result, ev = run_op(world, 0, op)
         assert list(world.events.values())[before:] == ([] if ev is None else [ev])
-        return result, None if ev is None else (ev.id, ev.op.kind)
+        # An event is named by its last payload's type.
+        return result, None if ev is None else (ev.id, type(ev.chain[-1].items[-1][1]))
 
     def test_failing_delete_reports_the_query_it_registered(self):
         w = self.unreferenced_x()
         result, added = self.run(w, OpCall("delete", {"target": "X", "last": []}))
         assert result == "err:NotUnreachable"
-        assert added == ((0, 3), "register_query")
+        assert added == ((0, 3), QueryRegister)
 
     def test_successful_delete(self):
         w = self.unreferenced_x()
@@ -344,12 +346,12 @@ class TestRunOpSpawned:
             w.quiesce()
         result, added = self.run(w, OpCall("delete", {"target": "X", "last": []}))
         assert result == "ok"
-        assert added == ((0, 6), "delete")
+        assert added == ((0, 6), MarkDeleted)
 
     def test_first_may_delete_registers_its_query(self):
         w = self.unreferenced_x()
         op = OpCall("may_delete", {"target": "X", "last": []})
-        assert self.run(w, op) == ("false", ((0, 3), "register_query"))
+        assert self.run(w, op) == ("false", ((0, 3), QueryRegister))
         assert self.run(w, op) == ("false", None)
 
     def test_two_events_raise(self, monkeypatch):

@@ -224,8 +224,8 @@ class TestMvrAssign:
         w = World(1)
         st = w.states[0]
         st.objects["S"] = ObjectRecord("S", True, ("f",))
-        p1 = OutRefSet("f", (OutRefEntry("X", (0, 0), (0, 0)),), frozenset())
-        p2 = OutRefSet("f", (OutRefEntry("Y", (1, 0), (1, 0)),), frozenset())
+        p1 = OutRefSet("f", OutRefEntry("X", (0, 0), (0, 0)), frozenset())
+        p2 = OutRefSet("f", OutRefEntry("Y", (1, 0), (1, 0)), frozenset())
         apply_outref_set(w, st, "S", p1)
         apply_outref_set(w, st, "S", p2)
         assert len(st.objects["S"].attrs["f"].surviving()) == 2

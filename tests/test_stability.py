@@ -23,7 +23,6 @@ from causalrefs.refs import InRefAdd, OutRefEntry
 from causalrefs.stability import (
     ClockAnnounce,
     QueryObserver,
-    Report,
     apply_clock_announce,
     oracle_stable,
     stably_subset,
@@ -276,7 +275,7 @@ class TestAnnounce:
     def test_report_for_unregistered_query_is_simulator_error(self):
         w = unreferenced_world()
         clock = ((0, 2),)
-        p = ClockAnnounce(0, clock, (Report("X", frozenset(), True),))
+        p = ClockAnnounce(0, clock, ((("X", frozenset()), True),))
         with pytest.raises(SimulatorError):
             apply_clock_announce(w, w.states[1], None, p)
 
