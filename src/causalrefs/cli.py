@@ -3,7 +3,8 @@
 Exit codes: 0 success / no violations, 1 invariant or assertion violation,
 2 usage, configuration, bound, range or parse error, or an output path that
 cannot be written. Each exit 2 prints one line, except a bare call, which
-prints the help.
+prints the help: a usage error through click's own ``Error:`` line
+(``_one_line_usage``), every other failure by raising ``_Fail``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ from .harness import (
     run_op,
 )
 from .model import MODES, PURE_CAUSAL, SimulatorError, World
+
+
+class _Fail(click.ClickException):
+    """A command that cannot go on: its message alone on stderr, exit 2."""
+
+    exit_code = 2
+
+    def show(self, file=None):
+        click.echo(self.message, err=True)
 
 
 @contextlib.contextmanager
@@ -75,8 +85,7 @@ def cmd_run(seed, executions, events, replicas, mode, out):
         config = TraceConfig(replicas=replicas, events=events, mode=mode)
         summary = run_campaign(seed, executions, config)
     except ConfigInvalid as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
+        raise _Fail(f"config error: {e}")
     click.echo(f"executions: {summary['executions']}")
     click.echo(f"multivalued fraction: {summary['multivalued_fraction']:.4f}")
     click.echo(f"deletion fraction: {summary['deletion_fraction']:.4f}")
@@ -87,11 +96,6 @@ def cmd_run(seed, executions, events, replicas, mode, out):
         _write_files(out, [(f"fail-{index}.trace", tracefile.dumps(shrunk))
                            for index, shrunk, _report in summary["failures"]])
     sys.exit(1 if summary["total_violating"] else 0)
-
-
-def _cannot_write(e: OSError):
-    click.echo(f"cannot write {e.filename}: {e.strerror}", err=True)
-    sys.exit(2)
 
 
 def _write_files(outdir, files) -> None:
@@ -105,15 +109,14 @@ def _write_files(outdir, files) -> None:
             path.write_text(text)
             click.echo(f"wrote {path}")
     except OSError as e:
-        _cannot_write(e)
+        raise _Fail(f"cannot write {e.filename}: {e.strerror}")
 
 
 def _load_trace(path) -> Trace:
     try:
         return tracefile.loads(pathlib.Path(path).read_text())
     except (OSError, UnicodeDecodeError, tracefile.TraceFormatError) as e:
-        click.echo(f"cannot read trace: {e}", err=True)
-        sys.exit(2)
+        raise _Fail(f"cannot read trace: {e}")
 
 
 @main.command("check")
@@ -124,8 +127,7 @@ def cmd_check(trace_file):
     try:
         report = check_invariants(trace)
     except (ReplayMismatch, ConfigInvalid, SimulatorError) as e:
-        click.echo(f"trace does not replay: {e}", err=True)
-        sys.exit(2)
+        raise _Fail(f"trace does not replay: {e}")
     click.echo(f"events: {report.stats['events']} (failed: {report.stats['failed_events']})")
     click.echo(f"multivalued: {report.stats['multivalued']}")
     if report.ok:
@@ -147,11 +149,9 @@ def cmd_explore(events, replicas, mode):
         report = explore_catalog(basic_catalog(), events, replicas=replicas,
                                  mode=mode, setup=basic_setup)
     except BoundExceeded as e:
-        click.echo(f"bound exceeded: {e}", err=True)
-        sys.exit(2)
+        raise _Fail(f"bound exceeded: {e}")
     except ConfigInvalid as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
+        raise _Fail(f"config error: {e}")
     click.echo(f"states explored: {report.states}")
     click.echo(f"terminal states: {report.terminals}")
     if report.ok:
@@ -217,26 +217,22 @@ def cmd_export_dot(trace_file, step, replica, out):
     """Snapshot one replica's object graph after a given schedule step."""
     trace = _load_trace(trace_file)
     if not trace.steps:
-        click.echo(f"step {step} out of range: the trace has no steps", err=True)
-        sys.exit(2)
+        raise _Fail(f"step {step} out of range: the trace has no steps")
     if not 0 <= step < len(trace.steps):
-        click.echo(f"step {step} out of range 0..{len(trace.steps) - 1}", err=True)
-        sys.exit(2)
+        raise _Fail(f"step {step} out of range 0..{len(trace.steps) - 1}")
     if not 0 <= replica < trace.config.replicas:
-        click.echo(f"replica {replica} out of range 0..{trace.config.replicas - 1}", err=True)
-        sys.exit(2)
+        raise _Fail(f"replica {replica} out of range 0..{trace.config.replicas - 1}")
     prefix = Trace(trace.seed, trace.config, trace.steps[:step + 1])
     try:
         world, _ = replay(prefix)
     except (ReplayMismatch, SimulatorError) as e:
-        click.echo(f"trace does not replay: {e}", err=True)
-        sys.exit(2)
+        raise _Fail(f"trace does not replay: {e}")
     doc = dot.snapshot_dot(world.states[replica], name=f"step-{step}-replica-{replica}")
     if out:
         try:
             pathlib.Path(out).write_text(doc)
         except OSError as e:
-            _cannot_write(e)
+            raise _Fail(f"cannot write {e.filename}: {e.strerror}")
         click.echo(f"wrote {out}")
     else:
         click.echo(doc, nl=False)

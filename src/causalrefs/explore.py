@@ -149,7 +149,13 @@ def _check_state(checker: Checker, world: World, st, messages) -> list:
 
 def _check_stability(world: World, stable_seen: frozenset):
     """Refinement (stably-detected implies oracle-stable) plus persistence
-    (oracle-stable queries never revert). Returns (violations, new seen)."""
+    (oracle-stable queries never revert). Returns (violations, new seen).
+
+    Every key of ``stable_seen`` is registered somewhere in ``world``:
+    queries only grow along a search path, and a replica state shared
+    across one level is a function of its delivery entry, which only grows
+    too. So one oracle call per registered key decides both persistence
+    and the new seen set."""
     out = []
     seen = set(stable_seen)
     keys = set()
@@ -158,12 +164,11 @@ def _check_stability(world: World, stable_seen: frozenset):
             keys.add(qkey)
             if q.stable and (bad := refinement_fault(world, qkey)) is not None:
                 out.append(f"refinement at replica {st.rid}: {bad}")
-    for target, last in stable_seen:
-        if not oracle_stable(world, target, last):
-            out.append(f"persistence: oracle-stable {target} reverted")
-    for target, last in keys:
-        if oracle_stable(world, target, last):
-            seen.add((target, last))
+    for key in keys:
+        if oracle_stable(world, *key):
+            seen.add(key)
+        elif key in stable_seen:
+            out.append(f"persistence: oracle-stable {key[0]} reverted")
     return out, frozenset(seen)
 
 

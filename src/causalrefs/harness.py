@@ -230,11 +230,6 @@ def _deliver_prefix(world: World, replica: int, eid, upto: int, record, eid_labe
         record(DeliverStep(replica, eid_labels[eid], idx))
 
 
-def _deliver_all(world: World, replica: int, record, eid_labels: dict) -> None:
-    for eid, idx in world.drain(replica):
-        record(DeliverStep(replica, eid_labels[eid], idx))
-
-
 class _Draws(random.Random):
     """The generator's random source: ``random.Random``, whose own
     ``choice`` and ``_randbelow`` it uses, with ``randrange(stop)``,
@@ -442,7 +437,8 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
         sync_p = 0.6 if reclaiming else 0.1
         if successes and rng.random() < sync_p:
             # Full sync point: deliver everything outstanding to this replica.
-            _deliver_all(world, replica, record, eid_labels)
+            for eid, idx in world.drain(replica):
+                record(DeliverStep(replica, eid_labels[eid], idx))
         elif successes:
             parents = rng.sample(successes, min(2, len(successes)))
             for ev in parents:
@@ -884,7 +880,8 @@ KEEP_FAILURES = 10
 def run_campaign(seed: int, executions: int, config: TraceConfig):
     """Run ``executions`` random traces and check every invariant.
 
-    Returns a summary dict: per-invariant violation counts, the fraction of
+    Returns a summary dict: per invariant, the number of traces violating
+    it; the number of traces violating any invariant; the fraction of
     traces that exhibited a multi-valued register, the fraction that deleted
     an object (a ``delete`` step with result ``ok``), and the first
     ``KEEP_FAILURES`` failing traces, shrunk.
@@ -896,12 +893,14 @@ def run_campaign(seed: int, executions: int, config: TraceConfig):
     failures: list = []
     multivalued = 0
     deleted = 0
+    violating = 0
     for i in range(executions):
         trace = random_execution(execution_seed(seed, i), config)
         report = check_invariants(trace)
         multivalued += report.stats["multivalued"]
         deleted += report.stats["deleted"]
         if not report.ok:
+            violating += 1
             for inv in sorted(report.failed_invariants()):
                 counts[inv] = counts.get(inv, 0) + 1
             if len(failures) < KEEP_FAILURES:
@@ -909,7 +908,7 @@ def run_campaign(seed: int, executions: int, config: TraceConfig):
     return {
         "executions": executions,
         "violations": counts,
-        "total_violating": sum(counts.values()),
+        "total_violating": violating,
         "multivalued_fraction": multivalued / executions,
         "deletion_fraction": deleted / executions,
         "failures": failures,

@@ -207,9 +207,6 @@ class ReplicaState:
         r, seq = eid
         return self.applied_full.get(r, 0) >= seq
 
-    def is_applied(self, eid: EventId, chain_index: int) -> bool:
-        return self.fully_applied(eid) or self.progress.get(eid, 0) > chain_index
-
 
 class World:
     """A fixed set of replicas plus the global event log."""
@@ -334,7 +331,7 @@ class World:
         key = (eid, chain_index)
         msg = st.pending.get(key)
         if msg is None:
-            if st.is_applied(eid, chain_index):
+            if st.fully_applied(eid) or st.progress.get(eid, 0) > chain_index:
                 raise DuplicateDelivery(f"{eid}[{chain_index}] at replica {replica}")
             raise SimulatorError(f"no pending message {eid}[{chain_index}] at replica {replica}")
         if not self.deliverable(replica, msg):

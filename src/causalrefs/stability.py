@@ -2,9 +2,10 @@
 
 Deciding that a target's reference listing is empty (modulo an ignore-set)
 "and will stay empty" amounts to termination detection. Replicas gossip
-their progress: an announcement carries the announcer's applied clock plus,
-for every registered query, a report: the pair (query key, whether the
-condition holds locally), where a query key is (target, ignore-set).
+their progress: an announcement carries the announcer's applied clock plus
+the set of its reports, one for every registered query: the pair (query
+key, whether the condition holds locally), where a query key is (target,
+ignore-set).
 Every replica runs the same observer machine over the announcements it
 receives:
 
@@ -37,14 +38,12 @@ from .model import (
 )
 from .refs import InRefAdd, last_refs_arg
 
-QueryKey = tuple[str, frozenset]
-
 
 @dataclass(frozen=True, slots=True)
 class ClockAnnounce:
     announcer: int
     clock: tuple
-    reports: tuple  # (query key, holds) pairs
+    reports: frozenset  # (query key, holds) pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,10 +97,6 @@ class QueryObserver:
                 self.stable = True
 
 
-def _query_sort_key(key: QueryKey):
-    return (key[0], sorted(key[1]))
-
-
 # ---------------------------------------------------------------------------
 # Generators and appliers.
 
@@ -113,8 +108,11 @@ def apply_query_register(world: World, st: ReplicaState, target, p: QueryRegiste
 
 def gen_announce(world: World, st: ReplicaState, a: dict):
     clock = tuple(sorted(st.clock().items()))
-    reports = []
-    for key in sorted(st.queries, key=_query_sort_key):
+    # The payload must not depend on the order in which the replica's
+    # queries were registered: the explorer keys generation outcomes by the
+    # events a replica applied, and those do not fix that order.
+    reports = set()
+    for key in st.queries:
         target, last = key
         rec = st.objects.get(target)
         holds = rec is not None and rec.inref.refs_within(last)
@@ -122,8 +120,8 @@ def gen_announce(world: World, st: ReplicaState, a: dict):
             # Pledge: having vouched that the target is deletable, this
             # replica refuses to mint new references to it from now on.
             st.condemned.add(target)
-        reports.append((key, holds))
-    return [(None, ClockAnnounce(st.rid, clock, tuple(reports)))]
+        reports.add((key, holds))
+    return [(None, ClockAnnounce(st.rid, clock, frozenset(reports)))]
 
 
 def apply_clock_announce(world: World, st: ReplicaState, target, p: ClockAnnounce) -> None:

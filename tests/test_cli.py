@@ -42,6 +42,17 @@ def assert_one_line_exit_two(res, prefix):
     assert len(lines) == 1 and lines[0].startswith(prefix), res.output
 
 
+def write_mismatched_trace(path):
+    """Write seed 6's trace at the default configuration with its first
+    ``ok`` result (step 0, ``g0``) recorded as a failure instead."""
+    docs = [json.loads(ln) for ln in tracefile.dumps(random_execution(6, TraceConfig())).splitlines()]
+    next(d for d in docs[1:] if d.get("result") == "ok")["result"] = "err:KeyInUse"
+    path.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
+
+
+MISMATCH_LINE = "trace does not replay: step 0 (g0): recorded 'err:KeyInUse', got 'ok'"
+
+
 @pytest.mark.parametrize("args", [
     ("run", "--seed", "x"),
     ("explore", "--catalog", "big"),
@@ -120,6 +131,11 @@ class TestCheck:
         res = invoke("check", str(path))
         assert res.exit_code == 0
         assert "all invariants hold" in res.output
+
+    def test_mismatched_result_exit_two(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_mismatched_trace(path)
+        assert_one_line_exit_two(invoke("check", str(path)), MISMATCH_LINE)
 
     def test_garbage_exit_two(self, tmp_path):
         path = tmp_path / "bad.trace"
@@ -216,8 +232,7 @@ class TestExplore:
         assert res.output.splitlines()[-1] == f"distinct violations: {len(distinct)}"
 
     def test_bound_exceeded_exit_two(self):
-        res = invoke("explore", "--events", "9")
-        assert res.exit_code == 2
+        assert_one_line_exit_two(invoke("explore", "--events", "9"), "bound exceeded:")
 
     @pytest.mark.parametrize("args", [
         ("--replicas", "0"),
@@ -294,8 +309,16 @@ class TestExportDot:
         tr = random_execution(6, TraceConfig())
         path = tmp_path / "t.trace"
         path.write_text(tracefile.dumps(tr))
-        assert invoke("export-dot", str(path), "--step", "100000", "--replica", "0").exit_code == 2
-        assert invoke("export-dot", str(path), "--step", "0", "--replica", "7").exit_code == 2
+        assert_one_line_exit_two(invoke("export-dot", str(path), "--step", "100000", "--replica", "0"),
+                                 "step 100000 out of range 0..")
+        assert_one_line_exit_two(invoke("export-dot", str(path), "--step", "0", "--replica", "7"),
+                                 "replica 7 out of range 0..2")
+
+    def test_mismatched_result_exit_two(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_mismatched_trace(path)
+        res = invoke("export-dot", str(path), "--step", "1", "--replica", "0")
+        assert_one_line_exit_two(res, MISMATCH_LINE)
 
     def test_no_steps_exit_two(self, tmp_path):
         path = tmp_path / "t.trace"

@@ -11,13 +11,19 @@ Each fault is put in with monkeypatch for one test only:
 - no detection: ``may_delete`` says yes at once, so a delete never waits
   for the stability detector;
 - mark-deleted first: a delete's mark-deleted payload goes out before the
-  writes that null the target's attributes.
+  writes that null the target's attributes;
+- unhonoured pledge: a replica still reports a target unreferenced, and
+  so pledges, but then mints a new reference to it anyway.
 
 The two chain faults only reorder the payloads of one chain. In atomic mode
 a chain is one message, applied whole before any check runs, so they change
 nothing there (``test_chain_faults_change_nothing_in_atomic_mode``). The
 explorer misses the missing pledge within three events of ``basic_setup``
 and catches it within four of ``reclaim_setup``; the campaign catches it.
+The unhonoured pledge is the explorer's persistence finding within three
+events of ``reclaim_setup``. It is not in ``ALL_FAULTS``: at 2 replicas and
+60 events the campaign first catches it in execution 155 of seed 11, past
+the 40 that ``test_shrunk_traces_pinned`` scans.
 """
 
 import hashlib
@@ -39,9 +45,10 @@ from causalrefs.harness import (
     random_execution,
     removal_fault,
     replay,
+    run_campaign,
     shrink,
 )
-from causalrefs.model import ATOMIC, PURE_CAUSAL
+from causalrefs.model import ATOMIC, PURE_CAUSAL, PreconditionFailure
 from causalrefs.scenarios import run_fig1
 
 # Random traces (3 replicas, 20 events) a campaign may take to catch a fault.
@@ -92,6 +99,16 @@ def mark_deleted_first(monkeypatch):
         return [mark, *writes]
 
     monkeypatch.setitem(ops.GENERATORS, "delete", mutant)
+
+
+def unhonoured_pledge(monkeypatch):
+    # ``refs._check_target_mintable`` without its ``TargetCondemned`` check.
+    def mutant(st, target):
+        rec = refs._live_record(st, target)
+        if not refs.derivable(st, target, rec):
+            raise PreconditionFailure("UnreachableTarget", target)
+
+    monkeypatch.setattr(refs, "_check_target_mintable", mutant)
 
 
 # Every fault above, by name.
@@ -167,6 +184,17 @@ def test_campaign_catches_fault_within_budget(monkeypatch, fault):
     assert campaign_violations(seed, PURE_CAUSAL) == set()
     put_in(monkeypatch)
     assert invariants <= campaign_violations(seed, PURE_CAUSAL)
+
+
+def test_campaign_counts_each_violating_trace_once(monkeypatch):
+    # Under this fault some traces violate both I1 and I4; each is still
+    # one violating trace.
+    forward_creation(monkeypatch)
+    summary = run_campaign(99, BUDGET, TraceConfig())
+    violating = sum(not random_execution(execution_seed(99, i), TraceConfig()).report.ok
+                    for i in range(BUDGET))
+    assert sum(summary["violations"].values()) > violating
+    assert summary["total_violating"] == violating
 
 
 def test_violation_names_the_step_that_caused_it(monkeypatch):
@@ -285,6 +313,34 @@ def test_explorer_catches_no_pledge_after_reclaim_setup(monkeypatch, mode):
     report = explore_catalog(basic_catalog(), 4, replicas=2, mode=mode, setup=reclaim_setup)
     assert set(report.violations) == {f"refinement at replica {r}: stably X but oracle disagrees"
                                       for r in (0, 1)}
+
+
+@pytest.mark.parametrize("mode", [PURE_CAUSAL, ATOMIC])
+def test_explorer_catches_unhonoured_pledge_as_persistence(monkeypatch, mode):
+    # X turns oracle-stable once every replica has pledged; a replica that
+    # then mints a reference to X anyway makes it revert. Every call of the
+    # stability check also sees each query it was handed as oracle-stable
+    # still registered, which its single pass over the registered queries
+    # relies on.
+    check = explore._check_stability
+    calls = 0
+
+    def checking(world, stable_seen):
+        nonlocal calls
+        calls += 1
+        assert stable_seen <= {key for st in world.states for key in st.queries}
+        return check(world, stable_seen)
+
+    monkeypatch.setattr(explore, "_check_stability", checking)
+    def scope():
+        return explore_catalog(basic_catalog(), 3, replicas=2, mode=mode, setup=reclaim_setup)
+
+    assert scope().ok
+    unhonoured_pledge(monkeypatch)
+    calls = 0
+    report = scope()
+    assert calls == report.states == {PURE_CAUSAL: 1386, ATOMIC: 984}[mode]
+    assert set(report.violations) == {"persistence: oracle-stable X reverted"}
 
 
 @pytest.mark.parametrize("fault", CHAIN_FAULTS)

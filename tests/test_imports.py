@@ -1,7 +1,9 @@
 """``model`` binds the operation registries at the end of its import, and
 ``ops`` imports ``refs`` and ``stability``, which import ``model``. Each
-module must still import cleanly when it is the first one loaded."""
+module must still import cleanly when it is the first one loaded. No module
+imports a name it never uses."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -12,7 +14,8 @@ import pytest
 import causalrefs
 from causalrefs import ops
 
-SRC = str(pathlib.Path(causalrefs.__file__).resolve().parent.parent)
+PACKAGE = pathlib.Path(causalrefs.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
 
 
 @pytest.mark.parametrize("module", ["refs", "stability", "ops", "harness", "explore", "tracefile"])
@@ -25,3 +28,20 @@ def test_module_imports_first(module):
 
 def test_every_operation_kind_declares_its_arguments():
     assert set(ops.REQUIRED_ARGS) == set(ops.GENERATORS) | set(ops.READS)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+def test_no_unused_imports(path):
+    # ``__init__`` imports only to re-export. A name imported on a line
+    # marked ``noqa: F401`` is kept on purpose.
+    text = (PACKAGE / path).read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                if "noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in used} == {}

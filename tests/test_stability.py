@@ -279,6 +279,22 @@ class TestAnnounce:
         with pytest.raises(SimulatorError):
             apply_clock_announce(w, w.states[1], None, p)
 
+    def test_reports_are_a_function_of_the_query_set(self):
+        # The explorer keys a generation's outcome by the events a replica
+        # applied, which do not fix the order its queries were registered
+        # in; the announcement must not depend on that order either.
+        w = unreferenced_world()
+        create(w, 0, "Y")
+        w.quiesce()
+        for replica, order in ((0, "XY"), (1, "YX")):
+            for target in order:
+                w.execute(replica, OpCall("may_delete", {"target": target, "last": []}))
+        w.quiesce()
+        assert [list(st.queries) for st in w.states] == [
+            [("X", frozenset()), ("Y", frozenset())], [("Y", frozenset()), ("X", frozenset())]]
+        a, b = (w.generate(r, OpCall("announce")).chain[0].items[0][1].reports for r in (0, 1))
+        assert len(a) == 2 and a == b and hash(a) == hash(b)
+
 
 def full_scan_oracle(world, target, last):
     """The oracle as first written: scans every entry at every replica and
