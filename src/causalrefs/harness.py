@@ -297,56 +297,11 @@ RECLAIM_MIX = _kind_table({
 })
 
 
-class DrawView:
-    """What the generator draws an event's arguments from: replica state
-    ``st``'s object keys, its live keys and its live keys with attributes,
-    each in ``st.objects`` order. Built once per event, after the event's
-    deliveries; no draw changes ``st``, so every attempt reads the same
-    view."""
-
-    __slots__ = ("st", "keys", "live", "with_attrs")
-
-    def __init__(self, st):
-        self.st = st
-        self.keys = list(st.objects)
-        self.live = live = []
-        self.with_attrs = with_attrs = []
-        for key, rec in st.objects.items():
-            if not rec.deleted:
-                live.append(key)
-                if rec.attrs:
-                    with_attrs.append(key)
-
-    def mintable(self) -> list:
-        """The live keys a new reference may target here by the mint rule
-        (``refs.derivable``), whatever this replica has pledged."""
-        st = self.st
-        objects = st.objects
-        return [k for k in self.live if derivable(st, k, objects[k])]
-
-    def assign_pools(self) -> tuple:
-        """The (key, attr) pairs of the live keys with attributes,
-        attributes in name order, that hold exactly one entry, which is
-        not NULL (assignable), and those that hold an entry (written)."""
-        objects = self.st.objects
-        assignable, written = [], []
-        for k in self.with_attrs:
-            for a, out in sorted(objects[k].attrs.items()):
-                entries = out.entries
-                if entries:
-                    written.append((k, a))
-                    if len(entries) == 1 and next(iter(entries.values())).target is not None:
-                        assignable.append((k, a))
-        return assignable, written
-
-
-def _draw_args(rng: _Draws, view: DrawView, replica: int, kind: str, next_keys: list):
-    st = view.st
-    keys, live, with_attrs = view.keys, view.live, view.with_attrs
-
-    def pick_attr(key):
-        return rng.choice(sorted(st.objects[key].attrs))
-
+def _draw_args(rng: _Draws, st, replica: int, kind: str, next_keys: list):
+    """The arguments of a ``kind`` operation at ``replica``, drawn from its
+    state ``st``, or None when ``st`` holds nothing to draw them from. Each
+    kind builds only the lists it draws from, in ``st.objects`` order; no
+    draw changes ``st``, so every attempt at an event reads the same lists."""
     if kind == "create":
         key = f"o{replica}n{next_keys[replica]}"
         next_keys[replica] += 1
@@ -354,23 +309,55 @@ def _draw_args(rng: _Draws, view: DrawView, replica: int, kind: str, next_keys: 
         return {"key": key, "root": rng.random() < 0.3, "attrs": ["f", "g"][:nattrs]}
     if kind == "announce":
         return {}
-    if kind == "init":
-        if not with_attrs or not keys:
+    objects = st.objects
+    if kind in ("may_delete", "delete"):
+        # A delete targets a live key that is not a root, a may_delete any.
+        if kind == "may_delete":
+            pool = list(objects)
+        else:
+            pool = [k for k, rec in objects.items() if not rec.deleted and not rec.root]
+        if not pool:
             return None
+        # Prefer re-probing registered queries, then unreferenced objects,
+        # so detection can complete and deletions actually happen mid-trace.
+        probed = [t for t, _last in st.queries if t in objects and (
+            kind == "may_delete" or not objects[t].deleted and not objects[t].root)]
+        if probed and rng.random() < 0.7:
+            return {"target": rng.choice(probed), "last": "auto"}
+        unref = [k for k in pool if st.ref_counts.get(k, 0) == 0 and not objects[k].root]
+        if unref and rng.random() < 0.7:
+            return {"target": rng.choice(unref), "last": "auto"}
+        return {"target": rng.choice(pool), "last": "auto"}
+    if kind not in ("init", "assign", "assign_null", "invoke"):
+        raise SimulatorError(f"unknown op kind {kind!r}")
+    with_attrs = [k for k, rec in objects.items() if rec.attrs and not rec.deleted]
+    if not with_attrs:
+        return None
+
+    def pick_attr(key):
+        return rng.choice(sorted(objects[key].attrs))
+
+    if kind == "init":
         source = rng.choice(with_attrs)
         # Mostly target something plausibly reachable here so inits succeed
-        # often enough to build interesting graphs.
-        mintable = view.mintable()
-        pool = mintable if mintable and rng.random() < 0.8 else keys
+        # often enough to build interesting graphs: a live key that a new
+        # reference may target by the mint rule, whatever is pledged here.
+        mintable = [k for k, rec in objects.items() if not rec.deleted and derivable(st, k, rec)]
+        pool = mintable if mintable and rng.random() < 0.8 else list(objects)
         return {"source": source, "attr": pick_attr(source), "target": rng.choice(pool)}
     if kind == "assign":
-        if len(with_attrs) < 1:
-            return None
-        # Prefer a source that is actually assignable (single-valued,
-        # non-NULL) and often overwrite an attribute that already holds a
+        # Prefer a source that is actually assignable (exactly one entry,
+        # not NULL) and often overwrite an attribute that already holds a
         # value; that is where concurrent assignments (multi-valued
         # registers) come from.
-        assignable, written = view.assign_pools()
+        assignable, written = [], []
+        for k in with_attrs:
+            for a, out in sorted(objects[k].attrs.items()):
+                entries = out.entries
+                if entries:
+                    written.append((k, a))
+                    if len(entries) == 1 and next(iter(entries.values())).target is not None:
+                        assignable.append((k, a))
         if assignable and rng.random() < 0.8:
             src, src_attr = rng.choice(assignable)
         else:
@@ -382,33 +369,18 @@ def _draw_args(rng: _Draws, view: DrawView, replica: int, kind: str, next_keys: 
             dst = rng.choice(with_attrs)
             dst_attr = pick_attr(dst)
         return {"dst": dst, "dst_attr": dst_attr, "src": src, "src_attr": src_attr}
-    if kind in ("assign_null", "invoke"):
-        if not with_attrs:
-            return None
-        source = rng.choice(with_attrs)
-        return {"source": source, "attr": pick_attr(source)}
-    if kind in ("may_delete", "delete"):
-        pool = keys if kind == "may_delete" else [k for k in live if not st.objects[k].root]
-        if not pool:
-            return None
-        # Prefer re-probing registered queries, then unreferenced objects,
-        # so detection can complete and deletions actually happen mid-trace.
-        probed = [t for t, _last in st.queries if t in pool]
-        if probed and rng.random() < 0.7:
-            return {"target": rng.choice(probed), "last": "auto"}
-        unref = [k for k in pool if st.ref_counts.get(k, 0) == 0 and not st.objects[k].root]
-        if unref and rng.random() < 0.7:
-            return {"target": rng.choice(unref), "last": "auto"}
-        return {"target": rng.choice(pool), "last": "auto"}
-    raise SimulatorError(f"unknown op kind {kind!r}")
+    source = rng.choice(with_attrs)
+    return {"source": source, "attr": pick_attr(source)}
 
 
 def random_execution(seed: int, config: TraceConfig) -> Trace:
     """Build one replayable random trace, checking every invariant as it
     goes: a ``Checker`` watches every application and step, and
-    ``check_tail`` runs once the last event is generated. The report is kept
-    as the trace's ``report``, so ``check_invariants`` need not replay the
-    trace. Deterministic in (seed, config)."""
+    ``check_tail`` runs once the last event is generated. Each event's
+    operation is drawn (``_draw_args``) from the state of the replica it
+    runs at, as that state is after the event's deliveries. The report is
+    kept as the trace's ``report``, so ``check_invariants`` need not replay
+    the trace. Deterministic in (seed, config)."""
     config.validate()
     rng = _Draws(seed)
     world = World(config.replicas, config.mode)
@@ -446,7 +418,6 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
                 _deliver_prefix(world, replica, ev.id, upto, record, eid_labels)
         op = None
         st = world.states[replica]
-        view = DrawView(st)
         if reclaiming:
             draw_kinds, draw_cum_weights, total, hi = RECLAIM_MIX
             # The first target, by name, of a stable query that is live
@@ -457,19 +428,19 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
             if ripe is not None:
                 op = OpCall("delete", {"target": ripe, "last": "auto"})
             elif i == reclaim_from:
-                args = _draw_args(rng, view, replica, "may_delete", next_keys)
+                args = _draw_args(rng, st, replica, "may_delete", next_keys)
                 if args is not None:
                     op = OpCall("may_delete", args)
         else:
             draw_kinds, draw_cum_weights, total, hi = mix
         for _ in range(8):
             kind = draw_kinds[bisect(draw_cum_weights, rng.random() * total, 0, hi)]
-            args = _draw_args(rng, view, replica, kind, next_keys)
+            args = _draw_args(rng, st, replica, kind, next_keys)
             if args is not None:
                 op = OpCall(kind, args)
                 break
         if op is None:
-            op = OpCall("create", _draw_args(rng, view, replica, "create", next_keys))
+            op = OpCall("create", _draw_args(rng, st, replica, "create", next_keys))
         label = f"g{i}"
         result, ev = run_op(world, replica, op)
         if ev is not None:

@@ -60,10 +60,6 @@ def vc_leq(a: dict, b: dict) -> bool:
     return True
 
 
-def vc_geq(a: dict, b: dict) -> bool:
-    return vc_leq(b, a)
-
-
 def vc_merge(a: dict, b: dict) -> dict:
     out = dict(a)
     for r, c in b.items():

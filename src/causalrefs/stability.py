@@ -33,7 +33,7 @@ from .model import (
     ReplicaState,
     SimulatorError,
     World,
-    vc_geq,
+    vc_leq,
     vc_merge,
 )
 from .refs import InRefAdd, last_refs_arg
@@ -91,7 +91,7 @@ class QueryObserver:
             # Snapshot reports never double as confirmations: the
             # confirmation must be a later observation.
             return
-        if vc_geq(clock, self.sup):
+        if vc_leq(self.sup, clock):
             self.confirm.add(replica)
             if len(self.confirm) == self.n:
                 self.stable = True

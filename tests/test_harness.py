@@ -18,7 +18,9 @@ from causalrefs.harness import (
     Trace,
     TraceConfig,
     check_invariants,
+    check_tail,
     deleted_faults,
+    diverging_replicas,
     execution_seed,
     random_execution,
     replay,
@@ -209,8 +211,9 @@ class TestDraws:
 # Traces at configurations the golden digests do not cover: 20 executions
 # each (campaign seed 0), hashed with their failed invariants. 7 replicas
 # make ``randrange`` reject draws, fractional weights a float total, and
-# 2 replicas with 60 events a long reclaim tail. A draw that changes
-# changes the digest.
+# 2 replicas with 60 events a long reclaim tail, and 5 replicas with 640
+# events the largest pools to draw from. A draw that changes changes the
+# digest.
 PINNED_CONFIGS = {
     "2-60-pure-causal": (TraceConfig(2, 60, PURE_CAUSAL),
                          "b4ff3cdda294d62ffb028c0bb83456b19460926cd4e15aa53e99f1d60241c40a"),
@@ -218,6 +221,8 @@ PINNED_CONFIGS = {
                     "2d56cd76d37e63632a089641a333395c03ee685b77404288dfb94b8359195ab2"),
     "3-20-fractional": (TraceConfig(3, 20, PURE_CAUSAL, dict(FRACTIONAL_WEIGHTS)),
                         "d84c10e251790b57c28a58608dfd09f67ef81abf3bec171a6e2bf6a45b142e95"),
+    "5-640-pure-causal": (TraceConfig(5, 640, PURE_CAUSAL),
+                          "888805dfa9678bd0063afea5c6b0e3fb5efc3ada667bff72616f41cf18ee2057"),
 }
 
 
@@ -263,51 +268,6 @@ def test_checker_ignores_query_and_announce_payloads():
             checker.on_apply(w, st, msg)
         assert checker.violations == []
         assert checker.multivalued is False
-
-
-def reference_pools(st) -> dict:
-    """The lists the generator draws from, computed from scratch at every
-    draw as ``_draw_args`` once did, to pin ``harness.DrawView``."""
-    keys = list(st.objects)
-    live = [k for k in keys if not st.objects[k].deleted]
-    with_attrs = [k for k in live if st.objects[k].attrs]
-    return {
-        "keys": keys,
-        "live": live,
-        "with_attrs": with_attrs,
-        "mintable": [k for k in live
-                     if st.objects[k].root or k in st.created_here or st.ref_counts.get(k, 0) > 0],
-        "assignable": [(k, a) for k in with_attrs for a, out in sorted(st.objects[k].attrs.items())
-                       if len(out.entries) == 1 and out.non_null()],
-        "written": [(k, a) for k in with_attrs for a, out in sorted(st.objects[k].attrs.items())
-                    if out.entries],
-    }
-
-
-@pytest.mark.parametrize("replicas,events,traces,mode", [
-    (3, 20, 100, PURE_CAUSAL), (3, 20, 100, ATOMIC), (5, 320, 3, PURE_CAUSAL)])
-def test_draw_view_matches_reference(monkeypatch, replicas, events, traces, mode):
-    # At every draw, the view built once for the event still equals the
-    # lists computed from the replica state as it is then.
-    draw = harness._draw_args
-    differing = draws = 0
-
-    def checked(rng, view, replica, kind, next_keys):
-        nonlocal differing, draws
-        assert view.st.rid == replica
-        assignable, written = view.assign_pools()
-        assert reference_pools(view.st) == {
-            "keys": view.keys, "live": view.live, "with_attrs": view.with_attrs,
-            "mintable": view.mintable(), "assignable": assignable, "written": written,
-        }
-        draws += 1
-        differing += assignable != written
-        return draw(rng, view, replica, kind, next_keys)
-
-    monkeypatch.setattr(harness, "_draw_args", checked)
-    for i in range(traces):
-        random_execution(execution_seed(9, i), TraceConfig(replicas=replicas, events=events, mode=mode))
-    assert draws >= traces * events and differing
 
 
 class TestRunOpSpawned:
@@ -400,6 +360,43 @@ class TestConvergence:
         for i in range(50):
             tr = random_execution(execution_seed(3, i), cfg)
             assert "I5" not in check_invariants(tr).failed_invariants()
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["0-then-1", "1-then-0"])
+def test_concurrent_deletes_of_one_object(order):
+    # Both replicas delete X, each before it receives the other's delete, so
+    # at each the second MarkDeleted lands on a record already deleted.
+    w = World(2)
+    checker = Checker()
+    w.on_apply = checker.on_apply
+    w.generate(0, OpCall("create", {"key": "A", "root": True, "attrs": ["a"]}))
+    w.generate(0, OpCall("create", {"key": "X", "root": False, "attrs": ["x"]}))
+    w.quiesce()
+    w.generate(0, OpCall("init", {"source": "A", "attr": "a", "target": "X"}))
+    w.generate(0, OpCall("init", {"source": "X", "attr": "x", "target": "X"}))
+    w.generate(0, OpCall("assign_null", {"source": "A", "attr": "a"}))
+    w.quiesce()
+    w.execute(0, OpCall("may_delete", {"target": "X", "last": "auto"}))
+    w.quiesce()
+    for _ in range(2):
+        for r in range(w.n):
+            w.generate(r, OpCall("announce"))
+        w.quiesce()
+    for r in range(w.n):
+        op = OpCall("delete", {"target": "X", "last": "auto"})
+        result, _ev = run_op(w, r, op)
+        assert result == "ok"
+        checker.on_step(w, r, GenStep(f"d{r}", r, op, result))
+    for r in order:
+        for _ in w.drain(r):
+            pass
+    assert not any(st.pending for st in w.states)
+    assert diverging_replicas(w) == []
+    x0, x1 = (st.objects["X"] for st in w.states)
+    assert x0.deleted and x1.deleted
+    assert x0.last_refs_at_delete and x0.last_refs_at_delete == x1.last_refs_at_delete
+    report = check_tail(w, checker, [])
+    assert report.ok, report.violations
 
 
 class TestShrink:
