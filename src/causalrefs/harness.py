@@ -9,10 +9,14 @@ generated at a replica that has just been brought up to date with two
 randomly chosen earlier events, each delivered only up to a random prefix
 of its effector chain (plus whatever causal delivery forces in first).
 
-One ``Checker`` judges every execution: ``random_execution`` runs it on
-the world it builds and keeps the report on the trace, ``replay`` runs it
-on any other trace, and the explorer on the states it reaches. Generation
-and replay end in the same quiescence checks (``check_tail``).
+One ``Run`` records every execution the harness runs step by step: its
+world, its steps and the label of each event. ``random_execution`` drives
+it while it generates a trace, ``replay`` while it re-executes one, and the
+model machine of ``tests/test_model_machine.py`` while it runs the rules
+hypothesis picks. One ``Checker`` judges every execution: it watches a
+``Run`` through its hooks, and the explorer uses it on the states it
+reaches. Generation and replay end in the same quiescence checks
+(``check_tail``).
 
 The generator draws as CPython 3.11's ``random.Random`` does: ``choice``
 and the ``getrandbits`` rejection loop (``_randbelow``) are the stdlib's
@@ -204,30 +208,69 @@ def run_op(world: World, replica: int, op: OpCall) -> tuple:
     return result, next(reversed(world.events.values())) if added else None
 
 
+class Run:
+    """One execution being recorded: its world, the steps kept so far and
+    each generation label bound to the event it added, both ways. After
+    each step it keeps, ``on_step(world, i, step)`` runs with the step's
+    index ``i`` among the kept steps, which is where the step sits in the
+    trace they make."""
+
+    def __init__(self, config: TraceConfig, on_apply=None, on_step=None):
+        self.world = World(config.replicas, config.mode)
+        self.world.on_apply = on_apply
+        self.on_step = on_step
+        self.steps: list = []
+        self.events: dict = {}  # label -> event id
+        self.labels: dict = {}  # event id -> label
+
+    def _keep(self, step) -> None:
+        self.steps.append(step)
+        if self.on_step is not None:
+            self.on_step(self.world, len(self.steps) - 1, step)
+
+    def gen(self, label: str, replica: int, op: OpCall) -> tuple:
+        """Run ``op`` at ``replica`` as step ``label``; returns ``run_op``'s
+        (result, event or None)."""
+        result, ev = run_op(self.world, replica, op)
+        if ev is not None:
+            self.events[label] = ev.id
+            self.labels[ev.id] = label
+        self._keep(GenStep(label, replica, op, result))
+        return result, ev
+
+    def deliver(self, replica: int, eid, idx: int) -> None:
+        """Apply message ``idx`` of event ``eid`` at ``replica``; a
+        SimulatorError leaves the run as it was."""
+        self.world.apply_message(replica, eid, idx)
+        self._keep(DeliverStep(replica, self.labels[eid], idx))
+
+    def drain(self, replica: int) -> None:
+        """``World.drain`` at ``replica``, each delivery a step."""
+        for eid, idx in self.world.drain(replica):
+            self._keep(DeliverStep(replica, self.labels[eid], idx))
+
+
 # ---------------------------------------------------------------------------
 # Random execution generation.
 
-def _deliver_prefix(world: World, replica: int, eid, upto: int, record, eid_labels: dict) -> None:
+def _deliver_prefix(run: Run, replica: int, eid, upto: int) -> None:
     """Deliver event ``eid``'s chain to ``replica`` up to ``upto`` messages,
-    first delivering (fully) everything the event causally depends on.
-    ``record`` takes each delivery's step just after it applies."""
+    first delivering (fully) everything the event causally depends on."""
+    world = run.world
     st = world.states[replica]
-    if eid[0] == replica or st.fully_applied(eid):
+    if eid[0] == replica or st.fully_applied(eid) or upto <= st.progress.get(eid, 0):
         return
     ev = world.events[eid]
-    if upto <= st.progress.get(eid, 0):
-        return
     for dep_r, dep_c in sorted(ev.deps.items()):
         if dep_r == replica:
             continue
         seq = st.applied_full.get(dep_r, 0) + 1
         while seq <= dep_c:
             dep_eid = (dep_r, seq)
-            _deliver_prefix(world, replica, dep_eid, len(world.events[dep_eid].chain), record, eid_labels)
+            _deliver_prefix(run, replica, dep_eid, len(world.events[dep_eid].chain))
             seq = st.applied_full.get(dep_r, 0) + 1
     for idx in range(st.progress.get(eid, 0), upto):
-        world.apply_message(replica, eid, idx)
-        record(DeliverStep(replica, eid_labels[eid], idx))
+        run.deliver(replica, eid, idx)
 
 
 class _Draws(random.Random):
@@ -383,18 +426,8 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
     the trace. Deterministic in (seed, config)."""
     config.validate()
     rng = _Draws(seed)
-    world = World(config.replicas, config.mode)
     checker = Checker()
-    world.on_apply = checker.on_apply
-    steps: list = []
-
-    def record(step) -> None:
-        # The checker labels what an application finds with the index the
-        # step being applied gets here, as a replay of the trace would.
-        steps.append(step)
-        checker.on_step(world, len(steps) - 1, step)
-
-    eid_labels: dict = {}
+    run = Run(config, checker.on_apply, checker.on_step)
     next_keys = [0] * config.replicas  # numbers the next create at each replica
     successes: list[Event] = []
     mix = _kind_table(config.weights)
@@ -409,15 +442,14 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
         sync_p = 0.6 if reclaiming else 0.1
         if successes and rng.random() < sync_p:
             # Full sync point: deliver everything outstanding to this replica.
-            for eid, idx in world.drain(replica):
-                record(DeliverStep(replica, eid_labels[eid], idx))
+            run.drain(replica)
         elif successes:
             parents = rng.sample(successes, min(2, len(successes)))
             for ev in parents:
                 upto = rng.randint(0, len(ev.chain))
-                _deliver_prefix(world, replica, ev.id, upto, record, eid_labels)
+                _deliver_prefix(run, replica, ev.id, upto)
         op = None
-        st = world.states[replica]
+        st = run.world.states[replica]
         if reclaiming:
             draw_kinds, draw_cum_weights, total, hi = RECLAIM_MIX
             # The first target, by name, of a stable query that is live
@@ -441,14 +473,11 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
                 break
         if op is None:
             op = OpCall("create", _draw_args(rng, st, replica, "create", next_keys))
-        label = f"g{i}"
-        result, ev = run_op(world, replica, op)
+        _result, ev = run.gen(f"g{i}", replica, op)
         if ev is not None:
-            eid_labels[ev.id] = label
             successes.append(ev)
-        record(GenStep(label, replica, op, result))
-    trace = Trace(seed, config, steps)
-    trace.report = check_tail(world, checker, steps)
+    trace = Trace(seed, config, run.steps)
+    trace.report = check_tail(run.world, checker, run.steps)
     return trace
 
 
@@ -456,46 +485,34 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
 # Replay.
 
 def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
-    """Re-execute a trace. Returns (world, normalized steps).
+    """Re-execute a trace through a ``Run``. Returns (world, normalized
+    steps).
 
     In strict mode any divergence from the recorded outcomes raises
     ReplayMismatch. In lenient mode (the shrinker's) a delivery that cannot
     apply or names no event yet bound is dropped, and recorded results give
     way to the actual ones; the normalized steps replay strictly through the
-    same states. ``on_step(world, i, step)`` runs after each step ``i``, with
-    the step as kept, or None if it was dropped.
+    same states. ``on_step(world, i, step)`` runs after each kept step, with
+    its index ``i`` among the normalized steps, so a lenient replay numbers
+    its steps as a strict replay of the normalized ones does.
     """
     trace.config.validate()
-    world = World(trace.config.replicas, trace.config.mode)
-    world.on_apply = on_apply
-    labels: dict = {}
-    norm: list = []
+    run = Run(trace.config, on_apply, on_step)
     for i, step in enumerate(trace.steps):
         if isinstance(step, GenStep):
-            result, ev = run_op(world, step.replica, step.op)
-            if ev is not None:
-                labels[step.label] = ev.id
+            result, _ev = run.gen(step.label, step.replica, step.op)
             if strict and result != step.result:
                 raise ReplayMismatch(f"step {i} ({step.label}): recorded {step.result!r}, got {result!r}")
-            step = GenStep(step.label, step.replica, step.op, result)
-        else:
-            eid = labels.get(step.label)
+            continue
+        eid = run.events.get(step.label)
+        try:
             if eid is None:
-                if strict:
-                    raise ReplayMismatch(f"step {i}: unknown event label {step.label!r}")
-                step = None
-            else:
-                try:
-                    world.apply_message(step.replica, eid, step.chain_index)
-                except SimulatorError as e:
-                    if strict:
-                        raise ReplayMismatch(f"step {i}: {e}") from e
-                    step = None
-        if step is not None:
-            norm.append(step)
-        if on_step is not None:
-            on_step(world, i, step)
-    return world, norm
+                raise SimulatorError(f"unknown event label {step.label!r}")
+            run.deliver(step.replica, eid, step.chain_index)
+        except SimulatorError as e:
+            if strict:
+                raise ReplayMismatch(f"step {i}: {e}") from e
+    return run.world, run.steps
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +659,11 @@ STABLE_ANSWERS = {("may_delete", "true"), ("delete", "ok")}
 
 
 class Checker:
-    """Runs the invariant clauses on one execution as it runs. Three
-    callers drive it: ``random_execution`` while it generates a trace,
-    ``replay`` for any other trace, and the explorer, which uses
-    ``on_apply`` alone.
+    """Runs the invariant clauses on one execution as it runs. A ``Run``
+    calls its hooks, whichever of its three drivers runs it:
+    ``random_execution`` while it generates a trace, ``replay`` for any
+    other trace, and the model machine of ``tests/test_model_machine.py``.
+    The explorer uses ``on_apply`` alone.
 
     ``on_apply``, the world's application hook, checks after each payload
     every clause on a record that payload can falsify, so from a checked
@@ -657,8 +675,8 @@ class Checker:
 
     def __init__(self):
         self.violations: list = []
-        # The index in the trace of the step being run, which labels what
-        # its applications find.
+        # The index of the step being run among the steps kept so far,
+        # which labels what its applications find.
         self.step = 0
         self.multivalued = False
 
@@ -792,8 +810,9 @@ def check_invariants(trace: Trace) -> InvariantReport:
 
 def _checked_replay(trace: Trace, strict: bool) -> tuple:
     """(normalized steps, report) of ``trace`` replayed under a fresh
-    ``Checker`` and finished by ``check_tail``. A lenient replay's report
-    numbers violations by the steps of ``trace``, not the normalized ones."""
+    ``Checker`` and finished by ``check_tail``. The report numbers
+    violations by the normalized steps, so a lenient replay reports what
+    ``check_invariants`` of the normalized trace reports."""
     checker = Checker()
     world, norm = replay(trace, strict, on_apply=checker.on_apply, on_step=checker.on_step)
     return norm, check_tail(world, checker, norm)

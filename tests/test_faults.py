@@ -34,9 +34,11 @@ from causalrefs import explore, ops, refs, stability, tracefile
 from causalrefs.explore import basic_catalog, basic_setup, explore_catalog, reclaim_setup
 from causalrefs.harness import (
     Checker,
+    DeliverStep,
     GenStep,
     InvariantReport,
     Trace,
+    _checked_replay,
     TraceConfig,
     check_invariants,
     deleted_faults,
@@ -210,6 +212,20 @@ def test_violation_names_the_step_that_caused_it(monkeypatch):
         prefix = check_invariants(Trace(trace.seed, trace.config, trace.steps[:n]))
         found = [v for v in prefix.violations if 0 <= v.step < n]
         assert found == [v for v in full if 0 <= v.step < n], n
+
+
+def test_lenient_replay_numbers_findings_by_kept_steps(monkeypatch):
+    # A lenient replay drops a step it cannot run and numbers what it finds
+    # by the steps it keeps: its report is that of a strict replay of the
+    # normalized trace.
+    forward_creation(monkeypatch)
+    trace = next(t for t in (random_execution(execution_seed(99, i), TraceConfig()) for i in range(BUDGET))
+                 if not t.report.ok)
+    # Names an event not yet generated, so it is dropped.
+    padded = Trace(trace.seed, trace.config, [DeliverStep(0, trace.steps[0].label, 0)] + trace.steps)
+    norm, report = _checked_replay(padded, strict=False)
+    assert norm == trace.steps
+    assert report == check_invariants(Trace(trace.seed, trace.config, norm)) == trace.report
 
 
 def test_mark_deleted_first_gives_reports(monkeypatch):
