@@ -224,7 +224,7 @@ def cmd_export_dot(trace_file, step, replica, out):
         raise _Fail(f"replica {replica} out of range 0..{trace.config.replicas - 1}")
     prefix = Trace(trace.seed, trace.config, trace.steps[:step + 1])
     try:
-        world, _ = replay(prefix)
+        world = replay(prefix).world
     except (ReplayMismatch, SimulatorError) as e:
         raise _Fail(f"trace does not replay: {e}")
     doc = dot.snapshot_dot(world.states[replica], name=f"step-{step}-replica-{replica}")

@@ -486,7 +486,6 @@ def explore_catalog(catalog, max_events: int, replicas: int = 2,
         raise BoundExceeded(f"{max_events} events exceeds bound {DEFAULT_BOUND}")
     if max_events < 0:
         raise ConfigInvalid("the event bound must not be negative")
-    check_replicas(replicas)
     search = _Search(replicas, mode, setup)
     choices = [(replica, slot, op) for replica in range(replicas) for slot, op in enumerate(catalog)]
     return search.run([choices] * max_events, ends_anywhere=True)

@@ -9,14 +9,13 @@ generated at a replica that has just been brought up to date with two
 randomly chosen earlier events, each delivered only up to a random prefix
 of its effector chain (plus whatever causal delivery forces in first).
 
-One ``Run`` records every execution the harness runs step by step: its
-world, its steps and the label of each event. ``random_execution`` drives
-it while it generates a trace, ``replay`` while it re-executes one, and the
-model machine of ``tests/test_model_machine.py`` while it runs the rules
-hypothesis picks. One ``Checker`` judges every execution: it watches a
-``Run`` through its hooks, and the explorer uses it on the states it
-reaches. Generation and replay end in the same quiescence checks
-(``check_tail``).
+Every execution the harness checks is one ``Run``: its world, the
+``Checker`` hooked to it, its steps and the label of each event.
+``random_execution`` drives it while it generates a trace, ``replay`` while
+it re-executes one, and the model machine of ``tests/test_model_machine.py``
+while it runs the rules hypothesis picks; each ends in the run's
+quiescence checks (``Run.check_tail``). The explorer runs a ``Checker``
+of its own on the states it reaches.
 
 The generator draws as CPython 3.11's ``random.Random`` does: ``choice``
 and the ``getrandbits`` rejection loop (``_randbelow``) are the stdlib's
@@ -209,24 +208,26 @@ def run_op(world: World, replica: int, op: OpCall) -> tuple:
 
 
 class Run:
-    """One execution being recorded: its world, the steps kept so far and
-    each generation label bound to the event it added, both ways. After
-    each step it keeps, ``on_step(world, i, step)`` runs with the step's
-    index ``i`` among the kept steps, which is where the step sits in the
-    trace they make."""
+    """One checked execution being recorded: its world, the ``Checker``
+    that judges it, the steps kept so far and each generation label bound
+    to the event it added, both ways. The checker watches every
+    application the world makes (``Checker.on_apply``) and every step the
+    run keeps (``Checker.on_step``, with the step's index among the kept
+    steps, which is where the step sits in the trace they make);
+    ``check_tail`` finishes the judgement. A test may pass its own
+    ``checker``."""
 
-    def __init__(self, config: TraceConfig, on_apply=None, on_step=None):
+    def __init__(self, config: TraceConfig, checker: Checker | None = None):
         self.world = World(config.replicas, config.mode)
-        self.world.on_apply = on_apply
-        self.on_step = on_step
+        self.checker = Checker() if checker is None else checker
+        self.world.on_apply = self.checker.on_apply
         self.steps: list = []
         self.events: dict = {}  # label -> event id
         self.labels: dict = {}  # event id -> label
 
     def _keep(self, step) -> None:
         self.steps.append(step)
-        if self.on_step is not None:
-            self.on_step(self.world, len(self.steps) - 1, step)
+        self.checker.on_step(self.world, len(self.steps) - 1, step)
 
     def gen(self, label: str, replica: int, op: OpCall) -> tuple:
         """Run ``op`` at ``replica`` as step ``label``; returns ``run_op``'s
@@ -248,6 +249,63 @@ class Run:
         """``World.drain`` at ``replica``, each delivery a step."""
         for eid, idx in self.world.drain(replica):
             self._keep(DeliverStep(replica, self.labels[eid], idx))
+
+    def check_tail(self) -> InvariantReport:
+        """Finish checking the run once its last step has run: force
+        quiescence, then check I5 and I6, the event log
+        (``Checker.scan_deletions``) and I7, and report.
+
+        Generation and replay both end here. It changes the world: it
+        delivers everything, then unhooks the checker and runs I7's queries
+        and announce rounds."""
+        world, checker = self.world, self.checker
+        world.quiesce()
+
+        n = world.n
+        for r in diverging_replicas(world):
+            checker.violations.append(Violation("I5", -1, r, "replica state diverges from replica 0 after quiesce"))
+        st0 = world.states[0]
+        for detail in listing_mismatches(st0):
+            checker.violations.append(Violation("I6", -1, 0, detail))
+
+        checker.scan_deletions(world)
+
+        # I7 liveness: every globally unreferenced non-root object becomes
+        # deletable within two announce rounds per replica.
+        candidates = [
+            k for k, rec in st0.objects.items()
+            if not rec.root and not rec.deleted and st0.ref_counts.get(k, 0) == 0
+            and not rec.inref.current()
+        ]
+        if candidates:
+            # This phase applies only query registrations and announcements,
+            # which ``Checker.on_apply`` never judges.
+            world.on_apply = None
+            for t in candidates:
+                world.execute(0, OpCall("may_delete", {"target": t, "last": []}))
+            world.quiesce()
+            for _ in range(2):
+                for r in range(n):
+                    world.generate(r, OpCall("announce"))
+                world.quiesce()
+            for t in candidates:
+                stable = [stability.stably_subset(world, r, t, frozenset()) for r in range(n)]
+                # The oracle reads the whole world, so one answer serves every
+                # replica that holds the query as stable.
+                bad = refinement_fault(world, (t, frozenset())) if any(stable) else None
+                for r, held in enumerate(stable):
+                    if not held:
+                        checker.violations.append(Violation("I7", -1, r, f"{t} not stably unreferenced after 2 rounds"))
+                    elif bad is not None:
+                        checker.violations.append(Violation("refinement", -1, r, bad))
+
+        gens = [s for s in self.steps if isinstance(s, GenStep)]
+        report = InvariantReport(checker.violations)
+        report.stats["multivalued"] = checker.multivalued
+        report.stats["events"] = len(gens)
+        report.stats["failed_events"] = sum(1 for s in gens if s.result.startswith("err:"))
+        report.stats["deleted"] = any(s.op.kind == "delete" and s.result == "ok" for s in gens)
+        return report
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +476,15 @@ def _draw_args(rng: _Draws, st, replica: int, kind: str, next_keys: list):
 
 def random_execution(seed: int, config: TraceConfig) -> Trace:
     """Build one replayable random trace, checking every invariant as it
-    goes: a ``Checker`` watches every application and step, and
-    ``check_tail`` runs once the last event is generated. Each event's
-    operation is drawn (``_draw_args``) from the state of the replica it
-    runs at, as that state is after the event's deliveries. The report is
-    kept as the trace's ``report``, so ``check_invariants`` need not replay
-    the trace. Deterministic in (seed, config)."""
+    goes in a ``Run``, whose ``check_tail`` runs once the last event is
+    generated. Each event's operation is drawn (``_draw_args``) from the
+    state of the replica it runs at, as that state is after the event's
+    deliveries. The report is kept as the trace's ``report``, so
+    ``check_invariants`` need not replay the trace. Deterministic in (seed,
+    config)."""
     config.validate()
     rng = _Draws(seed)
-    checker = Checker()
-    run = Run(config, checker.on_apply, checker.on_step)
+    run = Run(config)
     next_keys = [0] * config.replicas  # numbers the next create at each replica
     successes: list[Event] = []
     mix = _kind_table(config.weights)
@@ -448,7 +505,13 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
             for ev in parents:
                 upto = rng.randint(0, len(ev.chain))
                 _deliver_prefix(run, replica, ev.id, upto)
-        op = None
+        # What runs if all 8 draws below fail. In the reclaim tail that is
+        # the delete of a ripe target, or at its first event a may_delete,
+        # though both are meant to run first: the draws overwrite them, and
+        # the may_delete's draw is spent either way. Running them first
+        # changes the random stream, so the fix belongs to the opt-in
+        # deletion-heavy profile of ROADMAP.md item 1, not to this one.
+        fallback = None
         st = run.world.states[replica]
         if reclaiming:
             draw_kinds, draw_cum_weights, total, hi = RECLAIM_MIX
@@ -458,11 +521,11 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
                         if q.stable and t in st.objects
                         and not st.objects[t].deleted and not st.objects[t].root), default=None)
             if ripe is not None:
-                op = OpCall("delete", {"target": ripe, "last": "auto"})
+                fallback = OpCall("delete", {"target": ripe, "last": "auto"})
             elif i == reclaim_from:
                 args = _draw_args(rng, st, replica, "may_delete", next_keys)
                 if args is not None:
-                    op = OpCall("may_delete", args)
+                    fallback = OpCall("may_delete", args)
         else:
             draw_kinds, draw_cum_weights, total, hi = mix
         for _ in range(8):
@@ -471,33 +534,35 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
             if args is not None:
                 op = OpCall(kind, args)
                 break
-        if op is None:
-            op = OpCall("create", _draw_args(rng, st, replica, "create", next_keys))
+        else:
+            op = fallback if fallback is not None else OpCall(
+                "create", _draw_args(rng, st, replica, "create", next_keys))
         _result, ev = run.gen(f"g{i}", replica, op)
         if ev is not None:
             successes.append(ev)
     trace = Trace(seed, config, run.steps)
-    trace.report = check_tail(run.world, checker, run.steps)
+    trace.report = run.check_tail()
     return trace
 
 
 # ---------------------------------------------------------------------------
 # Replay.
 
-def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
-    """Re-execute a trace through a ``Run``. Returns (world, normalized
-    steps).
+def replay(trace: Trace, strict: bool = True, checker: Checker | None = None) -> Run:
+    """Re-execute a trace through a ``Run`` under ``checker`` (a fresh
+    ``Checker`` by default), and return the run: its steps are the
+    normalized steps, and ``Run.check_tail`` finishes its report.
 
     In strict mode any divergence from the recorded outcomes raises
     ReplayMismatch. In lenient mode (the shrinker's) a delivery that cannot
     apply or names no event yet bound is dropped, and recorded results give
     way to the actual ones; the normalized steps replay strictly through the
-    same states. ``on_step(world, i, step)`` runs after each kept step, with
-    its index ``i`` among the normalized steps, so a lenient replay numbers
-    its steps as a strict replay of the normalized ones does.
+    same states. The checker numbers each step by its index among the
+    normalized steps, so a lenient replay reports what a strict replay of
+    the normalized ones does.
     """
     trace.config.validate()
-    run = Run(trace.config, on_apply, on_step)
+    run = Run(trace.config, checker)
     for i, step in enumerate(trace.steps):
         if isinstance(step, GenStep):
             result, _ev = run.gen(step.label, step.replica, step.op)
@@ -512,7 +577,7 @@ def replay(trace: Trace, strict: bool = True, on_apply=None, on_step=None):
         except SimulatorError as e:
             if strict:
                 raise ReplayMismatch(f"step {i}: {e}") from e
-    return run.world, run.steps
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +724,8 @@ STABLE_ANSWERS = {("may_delete", "true"), ("delete", "ok")}
 
 
 class Checker:
-    """Runs the invariant clauses on one execution as it runs. A ``Run``
-    calls its hooks, whichever of its three drivers runs it:
+    """Runs the invariant clauses on one execution as it runs. Each
+    ``Run`` hooks its own, whichever of its three drivers runs it:
     ``random_execution`` while it generates a trace, ``replay`` for any
     other trace, and the model machine of ``tests/test_model_machine.py``.
     The explorer uses ``on_apply`` alone.
@@ -670,7 +735,7 @@ class Checker:
     start it reports each finding at the application that makes it true
     (the explorer relies on this); ``on_step``, run after every step of the
     trace, checks refinement; ``scan_deletions`` runs the event-log checks
-    once the trace has run (``check_tail``).
+    once the trace has run (``Run.check_tail``).
     """
 
     def __init__(self):
@@ -740,82 +805,15 @@ class Checker:
             self.violations.append(Violation(invariant, -1, replica, detail))
 
 
-def check_tail(world: World, checker: Checker, steps: list) -> InvariantReport:
-    """Finish checking an execution whose ``steps`` have all run on
-    ``world`` under ``checker``: force quiescence, then check I5 and I6,
-    the event log (``Checker.scan_deletions``) and I7, and report.
-
-    Generation and replay both end here. It changes ``world``: it delivers
-    everything, then unhooks ``checker`` and runs I7's queries and announce
-    rounds."""
-    world.quiesce()
-
-    n = world.n
-    for r in diverging_replicas(world):
-        checker.violations.append(Violation("I5", -1, r, "replica state diverges from replica 0 after quiesce"))
-    st0 = world.states[0]
-    for detail in listing_mismatches(st0):
-        checker.violations.append(Violation("I6", -1, 0, detail))
-
-    checker.scan_deletions(world)
-
-    # I7 liveness: every globally unreferenced non-root object becomes
-    # deletable within two announce rounds per replica.
-    candidates = [
-        k for k, rec in st0.objects.items()
-        if not rec.root and not rec.deleted and st0.ref_counts.get(k, 0) == 0
-        and not rec.inref.current()
-    ]
-    if candidates:
-        # This phase applies only query registrations and announcements,
-        # which ``Checker.on_apply`` never judges.
-        world.on_apply = None
-        for t in candidates:
-            world.execute(0, OpCall("may_delete", {"target": t, "last": []}))
-        world.quiesce()
-        for _ in range(2):
-            for r in range(n):
-                world.generate(r, OpCall("announce"))
-            world.quiesce()
-        for t in candidates:
-            stable = [stability.stably_subset(world, r, t, frozenset()) for r in range(n)]
-            # The oracle reads the whole world, so one answer serves every
-            # replica that holds the query as stable.
-            bad = refinement_fault(world, (t, frozenset())) if any(stable) else None
-            for r, held in enumerate(stable):
-                if not held:
-                    checker.violations.append(Violation("I7", -1, r, f"{t} not stably unreferenced after 2 rounds"))
-                elif bad is not None:
-                    checker.violations.append(Violation("refinement", -1, r, bad))
-
-    gens = [s for s in steps if isinstance(s, GenStep)]
-    report = InvariantReport(checker.violations)
-    report.stats["multivalued"] = checker.multivalued
-    report.stats["events"] = len(gens)
-    report.stats["failed_events"] = sum(1 for s in gens if s.result.startswith("err:"))
-    report.stats["deleted"] = any(s.op.kind == "delete" and s.result == "ok" for s in gens)
-    return report
-
-
 def check_invariants(trace: Trace) -> InvariantReport:
     """The invariant report of ``trace``: I1-I4 at every post-application
     state, the stability refinement property, and I5-I7 after forced
     quiescence. A trace ``random_execution`` built was checked while it was
     built, and its ``report`` is returned as it is; any other trace is
-    replayed strictly under a ``Checker`` and finished by ``check_tail``."""
+    replayed strictly and finished by ``Run.check_tail``."""
     if trace.report is not None:
         return trace.report
-    return _checked_replay(trace, strict=True)[1]
-
-
-def _checked_replay(trace: Trace, strict: bool) -> tuple:
-    """(normalized steps, report) of ``trace`` replayed under a fresh
-    ``Checker`` and finished by ``check_tail``. The report numbers
-    violations by the normalized steps, so a lenient replay reports what
-    ``check_invariants`` of the normalized trace reports."""
-    checker = Checker()
-    world, norm = replay(trace, strict, on_apply=checker.on_apply, on_step=checker.on_step)
-    return norm, check_tail(world, checker, norm)
+    return replay(trace).check_tail()
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +838,8 @@ def shrink(failing: Trace) -> Trace:
     long as the same invariant still fails, judging each candidate by one
     lenient checked replay. The result is normalized, replays strictly to
     the same failure and is never larger than the input."""
-    steps, base = _checked_replay(failing, strict=False)
+    run = replay(failing, strict=False)
+    steps, base = run.steps, run.check_tail()
     if base.ok:
         raise NotFailing("trace does not fail any invariant")
     target_inv = base.violations[0].invariant
@@ -848,10 +847,11 @@ def shrink(failing: Trace) -> Trace:
     def still_failing(cand: list):
         """``cand`` normalized if it still fails ``target_inv``, else None."""
         try:
-            norm, rep = _checked_replay(Trace(failing.seed, failing.config, cand), strict=False)
+            run = replay(Trace(failing.seed, failing.config, cand), strict=False)
+            failed = run.check_tail().failed_invariants()
         except SimulatorError:
             return None
-        return norm if target_inv in rep.failed_invariants() else None
+        return run.steps if target_inv in failed else None
 
     for candidates in (_without_events, _without_deliveries):
         shorter = steps

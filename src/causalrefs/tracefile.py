@@ -24,37 +24,16 @@ class TraceFormatError(Exception):
 
 
 def _line(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # A nested ``OpCall`` or ``TraceConfig`` is written as its fields.
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=vars)
 
 
 def dumps(trace: Trace) -> str:
-    lines = [_line({
-        "format": FORMAT,
-        "version": VERSION,
-        "seed": trace.seed,
-        "config": {
-            "replicas": trace.config.replicas,
-            "events": trace.config.events,
-            "mode": trace.config.mode,
-            "weights": trace.config.weights,
-        },
-    })]
+    """The trace file of ``trace``: its header, then each step's own
+    fields under the step's record ``type``."""
+    lines = [_line({"format": FORMAT, "version": VERSION, "seed": trace.seed, "config": trace.config})]
     for step in trace.steps:
-        if isinstance(step, GenStep):
-            lines.append(_line({
-                "type": "gen",
-                "label": step.label,
-                "replica": step.replica,
-                "op": {"kind": step.op.kind, "args": step.op.args},
-                "result": step.result,
-            }))
-        else:
-            lines.append(_line({
-                "type": "deliver",
-                "replica": step.replica,
-                "label": step.label,
-                "chain_index": step.chain_index,
-            }))
+        lines.append(_line({"type": "gen" if isinstance(step, GenStep) else "deliver", **vars(step)}))
     return "\n".join(lines) + "\n"
 
 

@@ -141,8 +141,8 @@ def test_criterion_8_replay_determinism():
         cfg = TraceConfig(mode=mode)
         for i in range(200):
             trace = random_execution(execution_seed(47, i), cfg)
-            w1, _ = replay(trace)
-            w2, _ = replay(trace)
+            w1 = replay(trace).world
+            w2 = replay(trace).world
             assert world_fingerprint(w1) == world_fingerprint(w2)
             w1.quiesce()
             w2.quiesce()

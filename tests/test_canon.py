@@ -16,6 +16,7 @@ from causalrefs.harness import TraceConfig, execution_seed, random_execution, re
 from causalrefs.model import ATOMIC, MODES, PURE_CAUSAL, OpCall, ReplicaState, World
 from causalrefs.refs import ObjectRecord, OutRef, OutRefEntry
 from causalrefs.scenarios import run_fig1
+from conftest import ProbedChecker
 
 EXPLORATIONS = {
     f"catalog3-{mode}": (lambda mode=mode: explore_catalog(basic_catalog(), 3, mode=mode,
@@ -70,7 +71,7 @@ def test_quiesced_campaign_worlds_match_reference():
     config = TraceConfig(replicas=2, events=60)
     deleted = multivalued = 0
     for i in range(60):
-        world, _ = replay(random_execution(execution_seed(7, i), config))
+        world = replay(random_execution(execution_seed(7, i), config)).world
         world.quiesce()
         assert_replicas_match(world)
         for rec in world.states[0].objects.values():
@@ -90,7 +91,7 @@ def test_text_after_every_application(mode):
     config = TraceConfig(replicas=2, events=60, mode=mode)
     deleted = 0
     for i in range(100):
-        world, _ = replay(random_execution(execution_seed(11, i), config), on_apply=on_apply)
+        world = replay(random_execution(execution_seed(11, i), config), checker=ProbedChecker(on_apply)).world
         world.quiesce()
         deleted += sum(rec.deleted for rec in world.states[0].objects.values())
     assert len(applications) > 5000 and deleted
@@ -152,7 +153,8 @@ def test_same_objects_agrees_with_text_on_campaign_worlds(mode):
     for replicas, events, traces in ((3, 20, 60), (2, 60, 20), (5, 320, 2)):
         config = TraceConfig(replicas=replicas, events=events, mode=mode)
         for i in range(traces):
-            world, _ = replay(random_execution(execution_seed(3, i), config), on_step=compare_all)
+            trace = random_execution(execution_seed(3, i), config)
+            world = replay(trace, checker=ProbedChecker(on_step=compare_all)).world
             world.quiesce()
             for a, b in combinations(world.states, 2):
                 assert same_as_text(a, b)

@@ -4,11 +4,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from causalrefs import cli, explore, harness, stability, tracefile
+from causalrefs import cli, explore, harness, tracefile
 from causalrefs.cli import main
 from causalrefs.dot import snapshot_dot
 from causalrefs.harness import MAX_EVENTS, MAX_REPLICAS, Trace, TraceConfig, random_execution, replay
 from causalrefs.model import MODES
+from test_faults import no_detection
 
 
 def edge_count(st):
@@ -22,13 +23,13 @@ def invoke(*args):
 
 def refuse_worlds(monkeypatch, module=harness):
     """Make building any world in ``module`` (by default any campaign or
-    replay world), or any explorer search, fail the test, so input that
+    replay world), or any explorer world, fail the test, so input that
     must be rejected first is never turned into a world: an exploration
     must check its scope before it builds anything."""
     def no_world(*args):
-        raise AssertionError(f"a world or search was built for {args}")
+        raise AssertionError(f"a world was built for {args}")
     monkeypatch.setattr(module, "World", no_world)
-    monkeypatch.setattr(explore, "_Search", no_world)
+    monkeypatch.setattr(explore, "World", no_world)
 
 
 # A trace file that is not UTF-8 text.
@@ -220,7 +221,7 @@ class TestExplore:
     def test_violations_counted_once_each(self, monkeypatch):
         # With no stability detection a delete succeeds at once; the search
         # reaches each finding from many states and reports it each time.
-        monkeypatch.setattr(stability, "may_delete", lambda world, replica, target, last: True)
+        no_detection(monkeypatch)
         reports = explore.explore_catalog(explore.basic_catalog(), 2, setup=explore.basic_setup).violations
         distinct = list(dict.fromkeys(reports))
         assert len(reports) > len(distinct) > 1
@@ -302,7 +303,7 @@ class TestExportDot:
         step = len(tr.steps) - 1
         res = invoke("export-dot", str(path), "--step", str(step), "--replica", "0")
         assert res.exit_code == 0, res.output
-        world, _ = replay(tr)
+        world = replay(tr).world
         assert res.output.count("->") == edge_count(world.states[0])
 
     def test_out_of_range_exit_two(self, tmp_path):

@@ -33,12 +33,10 @@ import pytest
 from causalrefs import explore, ops, refs, stability, tracefile
 from causalrefs.explore import basic_catalog, basic_setup, explore_catalog, reclaim_setup
 from causalrefs.harness import (
-    Checker,
     DeliverStep,
     GenStep,
     InvariantReport,
     Trace,
-    _checked_replay,
     TraceConfig,
     check_invariants,
     deleted_faults,
@@ -52,6 +50,7 @@ from causalrefs.harness import (
 )
 from causalrefs.model import ATOMIC, PURE_CAUSAL, PreconditionFailure
 from causalrefs.scenarios import run_fig1
+from conftest import ProbedChecker
 
 # Random traces (3 replicas, 20 events) a campaign may take to catch a fault.
 BUDGET = 20
@@ -223,9 +222,10 @@ def test_lenient_replay_numbers_findings_by_kept_steps(monkeypatch):
                  if not t.report.ok)
     # Names an event not yet generated, so it is dropped.
     padded = Trace(trace.seed, trace.config, [DeliverStep(0, trace.steps[0].label, 0)] + trace.steps)
-    norm, report = _checked_replay(padded, strict=False)
-    assert norm == trace.steps
-    assert report == check_invariants(Trace(trace.seed, trace.config, norm)) == trace.report
+    run = replay(padded, strict=False)
+    report = run.check_tail()
+    assert run.steps == trace.steps
+    assert report == check_invariants(Trace(trace.seed, trace.config, run.steps)) == trace.report
 
 
 def test_mark_deleted_first_gives_reports(monkeypatch):
@@ -398,24 +398,25 @@ def test_checker_reports_each_finding_where_it_becomes_true(monkeypatch, fault):
     # not before it, is among those ``Checker.on_apply`` reports for that
     # application.
     ALL_FAULTS[fault](monkeypatch)
-    checker = Checker()
     before: dict = {}
     fresh = 0
 
     def on_apply(world, st, msg):
+        # The checker has just checked this application; what it found
+        # since the last one is all it holds.
         nonlocal fresh
-        checker.violations.clear()
-        checker.on_apply(world, st, msg)
         now = _scan(st)
         new = now - before.get(st.rid, set())
         assert new <= {(v.invariant, v.detail) for v in checker.violations}, msg
+        checker.violations.clear()
         fresh += len(new)
         before[st.rid] = now
 
     for i in range(20):
         before.clear()
         trace = random_execution(execution_seed(3, i), TraceConfig(replicas=2, events=60))
-        replay(trace, on_apply=on_apply)
+        checker = ProbedChecker(on_apply)
+        replay(trace, checker=checker)
     assert fresh
 
 

@@ -15,10 +15,10 @@ from causalrefs.harness import (
     DeliverStep,
     GenStep,
     NotFailing,
+    Run,
     Trace,
     TraceConfig,
     check_invariants,
-    check_tail,
     deleted_faults,
     diverging_replicas,
     execution_seed,
@@ -238,8 +238,8 @@ def test_trace_digests_pinned(name):
 
 
 def test_checker_ignores_query_and_announce_payloads():
-    # ``check_tail`` runs I7's query registrations and announce rounds with
-    # the checker unhooked, which is sound only while ``Checker.on_apply``
+    # ``Run.check_tail`` runs I7's query registrations and announce rounds
+    # with the checker unhooked, which is sound only while ``Checker.on_apply``
     # judges none of these payloads: on a state that already breaks I1 and
     # I3 and holds a multi-valued register, it must find nothing.
     w = World(2)
@@ -346,9 +346,9 @@ class TestReplay:
 
     def test_replay_twice_byte_identical(self):
         tr = random_execution(13, TraceConfig())
-        w1, _ = replay(tr)
+        w1 = replay(tr).world
         w1.quiesce()
-        w2, _ = replay(tr)
+        w2 = replay(tr).world
         w2.quiesce()
         assert world_fingerprint(w1) == world_fingerprint(w2)
 
@@ -366,9 +366,10 @@ class TestConvergence:
 def test_concurrent_deletes_of_one_object(order):
     # Both replicas delete X, each before it receives the other's delete, so
     # at each the second MarkDeleted lands on a record already deleted.
-    w = World(2)
-    checker = Checker()
-    w.on_apply = checker.on_apply
+    # The set-up runs on the run's world unrecorded; the deletes and their
+    # deliveries are the run's steps.
+    run = Run(TraceConfig(replicas=2))
+    w = run.world
     w.generate(0, OpCall("create", {"key": "A", "root": True, "attrs": ["a"]}))
     w.generate(0, OpCall("create", {"key": "X", "root": False, "attrs": ["x"]}))
     w.quiesce()
@@ -383,19 +384,16 @@ def test_concurrent_deletes_of_one_object(order):
             w.generate(r, OpCall("announce"))
         w.quiesce()
     for r in range(w.n):
-        op = OpCall("delete", {"target": "X", "last": "auto"})
-        result, _ev = run_op(w, r, op)
+        result, _ev = run.gen(f"d{r}", r, OpCall("delete", {"target": "X", "last": "auto"}))
         assert result == "ok"
-        checker.on_step(w, r, GenStep(f"d{r}", r, op, result))
     for r in order:
-        for _ in w.drain(r):
-            pass
+        run.drain(r)
     assert not any(st.pending for st in w.states)
     assert diverging_replicas(w) == []
     x0, x1 = (st.objects["X"] for st in w.states)
     assert x0.deleted and x1.deleted
     assert x0.last_refs_at_delete and x0.last_refs_at_delete == x1.last_refs_at_delete
-    report = check_tail(w, checker, [])
+    report = run.check_tail()
     assert report.ok, report.violations
 
 

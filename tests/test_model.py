@@ -16,6 +16,7 @@ from causalrefs.model import (
 )
 from canon_reference import world_fingerprint
 from causalrefs.refs import InRefAdd, InRefRemove, OutRefSet
+from conftest import ProbedChecker
 
 
 def create(world, replica, key, root=False, attrs=("f",)):
@@ -198,7 +199,7 @@ class TestClock:
 
         for i in range(executions):
             trace = random_execution(execution_seed(3, i), TraceConfig(replicas, events, mode))
-            replay(trace, on_apply=on_apply)
+            replay(trace, checker=ProbedChecker(on_apply))
         assert applications
 
     @pytest.mark.parametrize("mode", MODES)

@@ -5,14 +5,14 @@ Its rules generate an operation at a replica (a kind and the arguments the
 trace generator would draw there, ``harness._draw_args``), deliver one
 deliverable message, drain a replica's buffer (``World.drain``, as the
 generator's sync points do) or announce. Each rule records its steps
-through a ``harness.Run`` watched by a ``Checker``, as ``random_execution``
-does, so a run is a trace: a failure replays from a trace file, and
+through a ``harness.Run``, the checked execution ``random_execution`` also
+drives, so a run is a trace: a failure replays from a trace file, and
 ``shrink`` cuts it. Without the drain rule no run at 3 replicas reached a
 stable query within 40 examples.
 
 After every step no ``Checker`` finding may stand and every query any
 replica holds as stable must be oracle-stable (``refinement_fault``); at the
-end of a run ``check_tail`` must report nothing.
+end of a run ``Run.check_tail`` must report nothing.
 
 The runs are derandomized and keep no example database, so they are the
 same on every run and write nothing under ``.hypothesis/``.
@@ -26,22 +26,28 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from causalrefs import harness, tracefile
 from causalrefs.cli import main
+from causalrefs.explore import _enabled
 from causalrefs.harness import (
     DEFAULT_WEIGHTS,
-    Checker,
     GenStep,
     Run,
     Trace,
     TraceConfig,
     check_invariants,
-    check_tail,
     refinement_fault,
     shrink,
 )
 from causalrefs.model import MODES, PURE_CAUSAL, OpCall
-from test_faults import forward_creation, unhonoured_pledge
+from test_faults import forward_creation, mark_deleted_first, unhonoured_pledge
 
 CONFIGS = [(replicas, mode) for mode in MODES for replicas in (2, 3)]
+
+
+def disputed(world) -> list:
+    """Each (replica, query key) that a replica of ``world`` holds as stable
+    and the oracle does not (``refinement_fault``)."""
+    return [(s.rid, key) for s in world.states for key, q in s.queries.items()
+            if q.stable and refinement_fault(world, key) is not None]
 
 
 def machine(replicas: int, mode: str):
@@ -51,8 +57,7 @@ def machine(replicas: int, mode: str):
     class ModelMachine(RuleBasedStateMachine):
         def __init__(self):
             super().__init__()
-            self.checker = Checker()
-            self.run = Run(TraceConfig(replicas, 1, mode), self.checker.on_apply, self.checker.on_step)
+            self.run = Run(TraceConfig(replicas, 1, mode))
             self.next_keys = [0] * replicas
 
         def gen(self, replica: int, op: OpCall) -> None:
@@ -71,8 +76,7 @@ def machine(replicas: int, mode: str):
         def deliver(self, data):
             # Causal delivery leaves some pending message deliverable.
             world = self.run.world
-            ready = [(s.rid, eid, idx) for s in world.states
-                     for (eid, idx), msg in sorted(s.pending.items()) if world.deliverable(s.rid, msg)]
+            ready = [(s.rid, *mkey) for s in world.states for mkey in _enabled(world, s)]
             self.run.deliver(*data.draw(st.sampled_from(ready)))
 
         @rule(replica=replica_ids)
@@ -85,18 +89,15 @@ def machine(replicas: int, mode: str):
 
         @invariant()
         def checked(self):
-            assert not self.checker.violations, self.checker.violations
-            world = self.run.world
-            for s in world.states:
-                for key, q in s.queries.items():
-                    if q.stable:
-                        assert refinement_fault(world, key) is None, (s.rid, key)
+            assert not self.run.checker.violations, self.run.checker.violations
+            refuted = disputed(self.run.world)
+            assert not refuted, refuted
 
         def teardown(self):
             # Hypothesis runs this after a failed step too, whose findings
             # stand as the failure: judge the tail after a clean run only.
-            if not self.checker.violations:
-                report = check_tail(self.run.world, self.checker, self.run.steps)
+            if not self.run.checker.violations:
+                report = self.run.check_tail()
                 assert report.ok, report.violations
 
         def trace(self) -> Trace:
@@ -148,7 +149,7 @@ def test_machine_failure_replays_as_trace_file(monkeypatch, tmp_path):
     forward_creation(monkeypatch)
     failed = failing_run(2, PURE_CAUSAL, 50)
     assert failed is not None
-    found = failed.checker.violations
+    found = failed.run.checker.violations
     assert found
     path = tmp_path / "machine.trace"
     path.write_text(tracefile.dumps(failed.trace()))
@@ -162,10 +163,28 @@ def test_machine_failure_replays_as_trace_file(monkeypatch, tmp_path):
     assert invariant in check_invariants(shrink(trace)).failed_invariants()
 
 
-def test_machine_kills_unhonoured_pledge(monkeypatch):
+@pytest.mark.parametrize("replicas", [2, 3])
+def test_machine_kills_unhonoured_pledge(monkeypatch, replicas):
     # A replica that pledged X, then mints a reference to X anyway, leaves
-    # a query stable that the oracle does not hold stable. The search kills
-    # it at its 20th run, in about 1 CPU s on a 2-core Xeon; the budget is
-    # ten times that.
+    # a query stable that the oracle does not hold stable: the machine's
+    # refinement invariant fails, with no ``Checker`` finding. On a 2-core
+    # Xeon the search fails at its 20th run at 2 replicas (about 1 CPU s)
+    # and at its 106th at 3 (6-8 CPU s). At 3 replicas budgets of 100 to
+    # 300 examples all fail there; 50 does not.
     unhonoured_pledge(monkeypatch)
-    assert failing_run(2, PURE_CAUSAL, 200) is not None
+    failed = failing_run(replicas, PURE_CAUSAL, 200)
+    assert failed is not None
+    assert not failed.run.checker.violations and disputed(failed.run.world)
+
+
+@pytest.mark.slow
+def test_machine_kills_mark_deleted_first(monkeypatch):
+    # A delete whose MarkDeleted goes out before the writes that null the
+    # target's attributes leaves an entry targeting a deleted object: an I1
+    # finding. The first failing run at 2 replicas is about the 157th, in
+    # 8-15 CPU s on a 2-core Xeon (budgets of 200 to 400 examples). Its
+    # shrunk trace is ``tests/witnesses/mark_deleted_first.trace``.
+    mark_deleted_first(monkeypatch)
+    failed = failing_run(2, PURE_CAUSAL, 400)
+    assert failed is not None
+    assert "I1" in {v.invariant for v in failed.run.checker.violations}

@@ -27,6 +27,7 @@ from causalrefs.stability import (
     oracle_stable,
     stably_subset,
 )
+from conftest import ProbedChecker
 
 
 def create(world, replica, key, root=False, attrs=("f",)):
@@ -360,7 +361,7 @@ class TestOracleFastPath:
 
         for mode, replicas, events, i in ORACLE_CASES:
             trace = random_execution(execution_seed(41, i), TraceConfig(replicas, events, mode))
-            world, _ = replay(trace, on_apply=assert_ref_counts_exact, on_step=on_step)
+            world = replay(trace, checker=ProbedChecker(assert_ref_counts_exact, on_step)).world
             world.quiesce()
             on_step(world, None, None)
         # Both answers must occur, or the comparison shows nothing.

@@ -23,8 +23,8 @@ def test_round_trip_byte_identical():
 
 def test_loaded_trace_replays_to_same_state():
     tr = random_execution(execution_seed(2, 19), TraceConfig())
-    w1, _ = replay(tr)
-    w2, _ = replay(tracefile.loads(tracefile.dumps(tr)))
+    w1 = replay(tr).world
+    w2 = replay(tracefile.loads(tracefile.dumps(tr))).world
     assert world_fingerprint(w1) == world_fingerprint(w2)
 
 
