@@ -25,9 +25,8 @@ from .harness import (
     check_invariants,
     replay,
     run_campaign,
-    run_op,
 )
-from .model import MODES, PURE_CAUSAL, SimulatorError, World
+from .model import MODES, PURE_CAUSAL, SimulatorError
 
 
 class _Fail(click.ClickException):
@@ -119,6 +118,24 @@ def _load_trace(path) -> Trace:
         raise _Fail(f"cannot read trace: {e}")
 
 
+def _echo_violations(violations) -> None:
+    """One line per finding, the only way the program words one."""
+    for v in violations:
+        click.echo(f"violation[{v.invariant}] step {v.step} replica {v.replica}: {v.detail}")
+
+
+def _exit_on_findings(report) -> None:
+    """End an exploration's command with exit 1 if it found anything. The
+    search reports a finding again at each state it is reached from, so
+    only the distinct findings, in first-seen order, say what it found."""
+    if report.ok:
+        return
+    distinct = list(dict.fromkeys(report.violations))
+    _echo_violations(distinct[:20])
+    click.echo(f"distinct violations: {len(distinct)}")
+    sys.exit(1)
+
+
 @main.command("check")
 @click.argument("trace_file", type=click.Path(exists=True, dir_okay=False))
 def cmd_check(trace_file):
@@ -133,8 +150,7 @@ def cmd_check(trace_file):
     if report.ok:
         click.echo("all invariants hold")
         sys.exit(0)
-    for v in report.violations:
-        click.echo(f"violation[{v.invariant}] step {v.step} replica {v.replica}: {v.detail}")
+    _echo_violations(report.violations)
     sys.exit(1)
 
 
@@ -154,16 +170,9 @@ def cmd_explore(events, replicas, mode):
         raise _Fail(f"config error: {e}")
     click.echo(f"states explored: {report.states}")
     click.echo(f"terminal states: {report.terminals}")
-    if report.ok:
-        click.echo("all invariants hold in every reachable state")
-        sys.exit(0)
-    # The search reports a finding again at each state it is reached from,
-    # so only the distinct findings, in first-seen order, say what it found.
-    distinct = list(dict.fromkeys(report.violations))
-    for v in distinct[:20]:
-        click.echo(f"violation: {v}")
-    click.echo(f"distinct violations: {len(distinct)}")
-    sys.exit(1)
+    _exit_on_findings(report)
+    click.echo("all invariants hold in every reachable state")
+    sys.exit(0)
 
 
 def _write_dots(world, outdir) -> None:
@@ -191,18 +200,8 @@ def cmd_scenario(name, mode, dot_dir):
     report = scenarios.run_fig1(mode)
     click.echo(f"fig1: explored {report.states} states, {report.terminals} terminal")
     if dot_dir:
-        # Snapshot of one quiesced run of the same program for rendering.
-        world = World(2, mode)
-        basic_setup(world)
-        world.quiesce()
-        for replica, op in scenarios.fig1_program():
-            run_op(world, replica, op)  # a failed precondition is a result
-            world.quiesce()
-        _write_dots(world, dot_dir)
-    if not report.ok:
-        for v in report.violations[:20]:
-            click.echo(f"assertion failed: {v}")
-        sys.exit(1)
+        _write_dots(scenarios.fig1_world(mode), dot_dir)
+    _exit_on_findings(report)
     click.echo("fig1: delete refused in every interleaving; no dangling reference reachable")
     sys.exit(0)
 

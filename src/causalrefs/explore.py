@@ -6,7 +6,10 @@ replica), the explorer covers every causally-valid interleaving of
 generation and effector delivery, up to the order of steps that commute
 (below), with the invariant clauses the harness defines: the record
 clauses on every replica state it builds, refinement and persistence at
-every state it visits, and convergence at every terminal state.
+every state it visits, and convergence at every terminal state. Its report
+is an ``InvariantReport``: each finding is a ``harness.Violation``, made by
+the same judgement the harness runs, with step -1, since a state the
+search reaches has no one trace to number its steps.
 
 Reached states are deduplicated by a sound structural key: the program
 prefix executed, the events generated so far, and each replica's delivery
@@ -48,9 +51,10 @@ reached), and at the root on every setup event at every replica. A record
 changes only through payloads and each payload's check covers every clause
 it can falsify, so every finding at a reached state is reported where the
 step that made it true was built; a shared state was checked when built.
-The terminal checks (I5, I6) are a function of a terminal state's object
-key, so they run once per distinct key, and their findings are reported at
-every terminal state with that key.
+The terminal checks (I5, I6: ``harness.quiescent_faults``, as the
+quiescence tail of a ``harness.Run`` runs them) are a function of a
+terminal state's object key, so they run once per distinct key, and their
+findings are reported at every terminal state with that key.
 
 ``exhaustive_explore`` runs one program; ``explore_catalog`` branches over
 a whole operation catalog at every generation point, covering every program
@@ -81,10 +85,11 @@ from .canon import canon_objects
 from .harness import (
     Checker,
     ConfigInvalid,
+    InvariantReport,
+    Violation,
     check_replicas,
-    diverging_replicas,
-    listing_mismatches,
     log_faults,
+    quiescent_faults,
     refinement_fault,
     run_op,
 )
@@ -100,18 +105,16 @@ class BoundExceeded(Exception):
 
 
 @dataclass
-class ExploreReport:
+class ExploreReport(InvariantReport):
+    """An exploration's findings, as ``harness.Violation``s with step -1,
+    reported again at each state they are reached at, and what it covered."""
+
     states: int = 0
     terminals: int = 0
-    violations: list = field(default_factory=list)
     # program index -> set of observed result strings across interleavings
     results: dict = field(default_factory=dict)
     # canonical object-state keys of all terminal states
     terminal_keys: set = field(default_factory=set)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _objects_key(world: World) -> str:
@@ -142,8 +145,7 @@ def _check_state(checker: Checker, world: World, st, messages) -> list:
     replica state ``st`` they have been applied to (``Checker.on_apply``)."""
     for msg in messages:
         checker.on_apply(world, st, msg)
-    found = [f"{v.invariant} at replica {v.replica}: {v.detail}" for v in checker.violations]
-    checker.violations.clear()
+    found, checker.violations = checker.violations, []
     return found
 
 
@@ -163,25 +165,21 @@ def _check_stability(world: World, stable_seen: frozenset):
         for qkey, q in st.queries.items():
             keys.add(qkey)
             if q.stable and (bad := refinement_fault(world, qkey)) is not None:
-                out.append(f"refinement at replica {st.rid}: {bad}")
+                out.append(Violation("refinement", -1, st.rid, bad))
     for key in keys:
         if oracle_stable(world, *key):
             seen.add(key)
         elif key in stable_seen:
-            out.append(f"persistence: oracle-stable {key[0]} reverted")
+            out.append(Violation("persistence", -1, -1, f"oracle-stable {key[0]} reverted"))
     return out, frozenset(seen)
 
 
-def _check_refids(world: World) -> list:
-    """The event-log checks: I2 and the global half of I3."""
-    return [f"{invariant}: {detail}" for invariant, _replica, detail in log_faults(world)]
-
-
-def _check_terminal(world: World) -> list:
-    """I5 and I6 at a terminal state, which is quiescent."""
-    out = [f"I5: replica {r} diverges at terminal state" for r in diverging_replicas(world)]
-    out.extend(f"I6: {detail}" for detail in listing_mismatches(world.states[0]))
-    return out
+# The event-log checks (I2 and the global half of I3) at a generation
+# successor, and I5 and I6 at a terminal state, which is quiescent: the
+# harness's own judgements, bound here under the names perfbench/tracing.py
+# times them by.
+_check_refids = log_faults
+_check_terminal = quiescent_faults
 
 
 def _enabled(world: World, st) -> tuple:
@@ -226,7 +224,9 @@ class _Search:
             setup(self.root)
             self.root.quiesce()
         self.report = ExploreReport()
+        # A state's findings are reported at the state, not at a step.
         self.checker = Checker()
+        self.checker.step = -1
         self.seen: set = set()
         # Events, event tuples, views and delivery entries, each interned
         # to the small int that stands for it in keys (``_id``);

@@ -15,7 +15,10 @@ Every execution the harness checks is one ``Run``: its world, the
 it re-executes one, and the model machine of ``tests/test_model_machine.py``
 while it runs the rules hypothesis picks; each ends in the run's
 quiescence checks (``Run.check_tail``). The explorer runs a ``Checker``
-of its own on the states it reaches.
+of its own on the states it reaches, and this module's event-log and
+quiescence judgements (``log_faults``, ``quiescent_faults``) as they are.
+Every finding, in a ``Run`` or in the explorer, is one ``Violation``
+record; only the command line words it.
 
 The generator draws as CPython 3.11's ``random.Random`` does: ``choice``
 and the ``getrandbits`` rejection loop (``_randbelow``) are the stdlib's
@@ -144,8 +147,15 @@ class Trace:
     report: InvariantReport | None = field(default=None, init=False, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(frozen=True, order=True)
 class Violation:
+    """One finding, the one record every judgement returns: the invariant
+    (or named property) it violates, the index of the step whose
+    application made it true, the replica it was found at, and what is
+    wrong. A judgement made once a trace has run (I5-I7, the event log) or
+    at a state the explorer reached has step -1; one that is a fact about
+    no single replica (persistence) has replica -1."""
+
     invariant: str
     step: int
     replica: int
@@ -154,7 +164,7 @@ class Violation:
 
 @dataclass
 class InvariantReport:
-    violations: list
+    violations: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
     @property
@@ -252,26 +262,20 @@ class Run:
 
     def check_tail(self) -> InvariantReport:
         """Finish checking the run once its last step has run: force
-        quiescence, then check I5 and I6, the event log
-        (``Checker.scan_deletions``) and I7, and report.
+        quiescence, then check I5 and I6 (``quiescent_faults``), the event
+        log (``Checker.scan_deletions``) and I7, and report.
 
         Generation and replay both end here. It changes the world: it
         delivers everything, then unhooks the checker and runs I7's queries
         and announce rounds."""
         world, checker = self.world, self.checker
         world.quiesce()
-
-        n = world.n
-        for r in diverging_replicas(world):
-            checker.violations.append(Violation("I5", -1, r, "replica state diverges from replica 0 after quiesce"))
-        st0 = world.states[0]
-        for detail in listing_mismatches(st0):
-            checker.violations.append(Violation("I6", -1, 0, detail))
-
+        checker.violations.extend(quiescent_faults(world))
         checker.scan_deletions(world)
 
         # I7 liveness: every globally unreferenced non-root object becomes
         # deletable within two announce rounds per replica.
+        n, st0 = world.n, world.states[0]
         candidates = [
             k for k, rec in st0.objects.items()
             if not rec.root and not rec.deleted and st0.ref_counts.get(k, 0) == 0
@@ -583,13 +587,15 @@ def replay(trace: Trace, strict: bool = True, checker: Checker | None = None) ->
 # ---------------------------------------------------------------------------
 # Invariant checking.
 #
-# Each clause of I1-I6 and of refinement is defined once below. A clause
-# returns what it found wrong: a detail string, or None when it holds (the
-# functions covering several clauses return lists). The Checker runs the
-# clauses while an execution is generated or replayed, and the explorer
-# (``explore``) runs the Checker's record checks on the replica states it
-# builds and the other clauses at the states it reaches; each only chooses
-# where to run them and how to word what they find.
+# Each clause of I1-I6 and of refinement is defined once below. A record
+# clause returns what it found wrong: a detail string, or None when it
+# holds (the functions covering several clauses return lists); the
+# judgements that read the event log or a quiescent world
+# (``log_faults``, ``quiescent_faults``) return ``Violation``s. The Checker
+# runs the clauses while an execution is generated or replayed, and the
+# explorer (``explore``) runs the Checker's record checks on the replica
+# states it builds and the other judgements at the states it reaches; each
+# only chooses where to run them, and both report ``Violation``s.
 
 def entry_fault(st, key: str, attr: str, e):
     """I1 for the non-NULL entry ``e`` of ``key.attr`` at replica state
@@ -649,7 +655,8 @@ def deleted_faults(st, rec) -> list:
 
 
 def log_faults(world: World) -> list:
-    """The event-log checks, as (invariant, replica, detail) triples.
+    """The event-log checks, as ``Violation``s with step -1 at the replica
+    of the event found at fault.
 
     I2: each reference id enters inref-adds from one event only, and outref
     entries from one event only. I3, global half: every listing addition to
@@ -668,12 +675,12 @@ def log_faults(world: World) -> list:
                 if kind is InRefAdd:
                     prev = added.setdefault(p.ref, eid)
                     if prev != eid:
-                        out.append(("I2", eid[0], f"ref {p.ref} added by {prev} and {eid}"))
+                        out.append(Violation("I2", -1, eid[0], f"ref {p.ref} added by {prev} and {eid}"))
                     adds.append((ev, target, p))
                 elif kind is OutRefSet and p.entry.ref is not None:
                     prev = intro.setdefault(p.entry.ref, eid)
                     if prev != eid:
-                        out.append(("I2", eid[0], f"ref {p.entry.ref} introduced by {prev} and {eid}"))
+                        out.append(Violation("I2", -1, eid[0], f"ref {p.entry.ref} introduced by {prev} and {eid}"))
                 elif kind is MarkDeleted:
                     deletes.append((ev, target, p.last))
     for d, target, last in deletes:
@@ -682,8 +689,8 @@ def log_faults(world: World) -> list:
                 continue
             r, seq = ev.id
             if d.deps.get(r, 0) < seq:
-                out.append(("I3", d.id[0],
-                            f"add of ({p.source},{p.ref}) to {target} by {ev.id} not before delete {d.id}"))
+                out.append(Violation("I3", -1, d.id[0],
+                                     f"add of ({p.source},{p.ref}) to {target} by {ev.id} not before delete {d.id}"))
     return out
 
 
@@ -701,6 +708,16 @@ def diverging_replicas(world: World) -> list:
     from replica 0's (``canon.same_objects``)."""
     st0 = world.states[0]
     return [r for r in range(1, world.n) if not same_objects(world.states[r], st0)]
+
+
+def quiescent_faults(world: World) -> list:
+    """I5 and I6 at a quiescent ``world``, as ``Violation``s with step -1:
+    each replica that diverges from replica 0, and each listing mismatch at
+    replica 0 (which I5 makes every replica's)."""
+    out = [Violation("I5", -1, r, "replica state diverges from replica 0 after quiesce")
+           for r in diverging_replicas(world)]
+    out.extend(Violation("I6", -1, 0, detail) for detail in listing_mismatches(world.states[0]))
+    return out
 
 
 def listing_mismatches(st) -> list:
@@ -801,8 +818,7 @@ class Checker:
     def scan_deletions(self, world: World) -> None:
         """The event-log checks (I2 and the global half of I3), once per
         trace, after its last step."""
-        for invariant, replica, detail in log_faults(world):
-            self.violations.append(Violation(invariant, -1, replica, detail))
+        self.violations.extend(log_faults(world))
 
 
 def check_invariants(trace: Trace) -> InvariantReport:

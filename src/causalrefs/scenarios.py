@@ -9,12 +9,13 @@ targets' reference listings record every pair.
 reference to X while another retires its own reference and tries to delete
 X. Explored exhaustively, the delete is refused in every interleaving where
 the copy succeeded, and no reachable state contains a reference to a
-deleted object.
+deleted object. ``fig1_world`` runs its program one way, for rendering.
 """
 
 from __future__ import annotations
 
 from .explore import ExploreReport, basic_setup, exhaustive_explore
+from .harness import Violation, run_op
 from .model import OpCall, PURE_CAUSAL, World
 
 
@@ -85,12 +86,27 @@ def fig1_program() -> list:
     ]
 
 
+def fig1_world(mode: str = PURE_CAUSAL) -> World:
+    """Run the fig1 program one way: setup, quiesce, then each operation
+    followed by quiescence (a failed precondition is a result)."""
+    world = World(2, mode)
+    basic_setup(world)
+    world.quiesce()
+    for replica, op in fig1_program():
+        run_op(world, replica, op)
+        world.quiesce()
+    return world
+
+
 def run_fig1(mode: str = PURE_CAUSAL) -> ExploreReport:
     """Explore every interleaving of the race. The report's violations are
     empty iff the delete was refused on every path and no reachable state
-    dangles (I1, checked per state by the explorer). The assign runs first,
-    on the quiesced setup, so it succeeds on every path."""
+    dangles (I1, checked per state by the explorer); a delete that
+    succeeded somewhere is a "fig1" finding at the delete's replica. The
+    assign runs first, on the quiesced setup, so it succeeds on every
+    path."""
     report = exhaustive_explore(fig1_program(), replicas=2, mode=mode, setup=basic_setup)
     if "ok" in report.results[FIG1_DELETE]:
-        report.violations.append("fig1: delete of X succeeded although the concurrent assign exists")
+        report.violations.append(Violation("fig1", -1, fig1_program()[FIG1_DELETE][0],
+                                           "delete of X succeeded although the concurrent assign exists"))
     return report

@@ -87,7 +87,7 @@ def test_criterion_4_fig1_prevention():
     assert report.ok, report.violations[:5]
     assert report.results[FIG1_ASSIGN] == {"ok"}
     assert report.results[FIG1_DELETE] == {"err:NotUnreachable"}
-    assert not [v for v in report.violations if "I1" in v]
+    assert "I1" not in report.failed_invariants()
     print(f"criterion 4: delete refused in all {report.states} explored states, "
           "no dangling reference reachable: PASS")
 

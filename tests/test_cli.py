@@ -227,9 +227,9 @@ class TestExplore:
         assert len(reports) > len(distinct) > 1
         res = invoke("explore", "--events", "2")
         assert res.exit_code == 1, res.output
-        listed = [line.removeprefix("violation: ") for line in res.output.splitlines()
-                  if line.startswith("violation: ")]
-        assert listed == distinct[:20]
+        listed = [line for line in res.output.splitlines() if line.startswith("violation[")]
+        assert listed == [f"violation[{v.invariant}] step -1 replica {v.replica}: {v.detail}"
+                          for v in distinct[:20]]
         assert res.output.splitlines()[-1] == f"distinct violations: {len(distinct)}"
 
     def test_bound_exceeded_exit_two(self):

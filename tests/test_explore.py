@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from causalrefs import explore
+from causalrefs import explore, harness
 from canon_reference import world_fingerprint
 from causalrefs.canon import canon_objects
 from causalrefs.explore import (
@@ -18,7 +18,7 @@ from causalrefs.explore import (
     explore_catalog,
     reclaim_setup,
 )
-from causalrefs.harness import run_op
+from causalrefs.harness import Violation, run_op
 from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, World
 from causalrefs.ops import APPLIERS, ORDER_SENSITIVE
 from causalrefs.refs import InRefAdd, InRefRemove, MarkDeleted, ObjectCreate, OutRefEntry, OutRefSet
@@ -142,12 +142,12 @@ def test_terminal_checked_once_per_distinct_state(monkeypatch, mode):
         checked.append(world)
         return check(world)
 
-    monkeypatch.setattr(explore, "listing_mismatches", lambda st: ["one per state"])
+    monkeypatch.setattr(harness, "listing_mismatches", lambda st: ["one per state"])
     monkeypatch.setattr(explore, "_check_terminal", counted)
     rep = explore_catalog(basic_catalog(), 3, replicas=2, mode=mode, setup=basic_setup)
     assert rep.terminals > len(rep.terminal_keys)
     assert len(checked) == len(rep.terminal_keys)
-    assert rep.violations == ["I6: one per state"] * rep.terminals
+    assert rep.violations == [Violation("I6", -1, 0, "one per state")] * rep.terminals
 
 
 def _deleted_terminals(rep):

@@ -14,10 +14,12 @@ After every step no ``Checker`` finding may stand and every query any
 replica holds as stable must be oracle-stable (``refinement_fault``); at the
 end of a run ``Run.check_tail`` must report nothing.
 
-The runs are derandomized and keep no example database, so they are the
-same on every run and write nothing under ``.hypothesis/``.
+The runs are derandomized (``failing_run``'s from a fixed seed) and keep
+no example database, so they are the same on every run and write nothing
+under ``.hypothesis/``.
 """
 
+import hypothesis
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, Phase, settings
@@ -116,9 +118,15 @@ def budget(examples: int, **extra):
 
 def failing_run(replicas: int, mode: str, examples: int):
     """The run the machine first fails on within ``examples`` examples, or
-    None. Hypothesis does not shrink it: ``shrink`` of its trace does."""
+    None. Hypothesis does not shrink it: ``shrink`` of its trace does.
+
+    The factory carries a fixed seed, which ``run_state_machine_as_test``
+    copies and which takes precedence over ``derandomize``; a derandomized
+    run would otherwise be seeded from a digest of the factory's source
+    text, so an edit to these lines could move every kill below."""
     made = []
 
+    @hypothesis.seed(0)
     def factory():
         made[:] = [machine(replicas, mode)()]
         return made[0]
@@ -168,22 +176,21 @@ def test_machine_kills_unhonoured_pledge(monkeypatch, replicas):
     # A replica that pledged X, then mints a reference to X anyway, leaves
     # a query stable that the oracle does not hold stable: the machine's
     # refinement invariant fails, with no ``Checker`` finding. On a 2-core
-    # Xeon the search fails at its 20th run at 2 replicas (about 1 CPU s)
-    # and at its 106th at 3 (6-8 CPU s). At 3 replicas budgets of 100 to
-    # 300 examples all fail there; 50 does not.
+    # Xeon the search fails at its 6th run at 2 replicas (0.3 CPU s) and at
+    # its 156th at 3 (about 9 CPU s). At 3 replicas budgets of 200 and 300
+    # examples fail there; 100 does not.
     unhonoured_pledge(monkeypatch)
     failed = failing_run(replicas, PURE_CAUSAL, 200)
     assert failed is not None
     assert not failed.run.checker.violations and disputed(failed.run.world)
 
 
-@pytest.mark.slow
 def test_machine_kills_mark_deleted_first(monkeypatch):
     # A delete whose MarkDeleted goes out before the writes that null the
     # target's attributes leaves an entry targeting a deleted object: an I1
-    # finding. The first failing run at 2 replicas is about the 157th, in
-    # 8-15 CPU s on a 2-core Xeon (budgets of 200 to 400 examples). Its
-    # shrunk trace is ``tests/witnesses/mark_deleted_first.trace``.
+    # finding. The first failing run at 2 replicas is the 10th, in 0.5 CPU
+    # s on a 2-core Xeon (the 9th at a budget of 50). An earlier kill,
+    # shrunk, is ``tests/witnesses/mark_deleted_first.trace``.
     mark_deleted_first(monkeypatch)
     failed = failing_run(2, PURE_CAUSAL, 400)
     assert failed is not None

@@ -29,11 +29,3 @@ def test_fig1_delete_always_refused(mode):
     assert (report.states, report.terminals) == FIG1_COUNTS[mode]
     assert report.results[FIG1_ASSIGN] == {"ok"}
     assert report.results[FIG1_DELETE] == {"err:NotUnreachable"}
-
-
-def test_fig1_no_reachable_dangling_state():
-    # The explorer checks I1 in every reachable state; a dangling reference
-    # would appear as an I1 violation.
-    report = run_fig1()
-    assert not [v for v in report.violations if "I1" in v]
-    assert report.states > 100

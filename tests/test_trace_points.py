@@ -1,7 +1,8 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps the program's
-entry points and registry entries by name. The default test run does not
-collect ``perfbench/``, so these tests make a renamed entry point fail here
-rather than only in a traced benchmark run (``perfbench/run.py --trace 1``).
+entry points and registry entries by name, and its hooks read two
+attributes. The default test run does not collect ``perfbench/``, so these
+tests make a renamed entry point or attribute fail here rather than only in
+a traced benchmark run (``perfbench/run.py --trace 1``).
 """
 
 import importlib
@@ -46,3 +47,14 @@ def test_every_registry_key_exists(tracing, prog):
     assert prog.stability.ClockAnnounce in prog.ops.APPLIERS
     assert "report" in vars(prog.stability.QueryObserver)
 
+
+def test_every_hook_read_exists(prog):
+    # Besides calling entry points, the tracer's hooks read the buffer depth
+    # of a replica state (``len(st.pending)``) and whether a query observer
+    # holds its query as stable (``QueryObserver.stable``).
+    world = prog.model.World(2, prog.model.PURE_CAUSAL)
+    world.generate(0, prog.model.OpCall("create", {"key": "X", "root": True, "attrs": ["x"]}))
+    assert len(world.states[1].pending) > 0
+    world.quiesce()
+    assert len(world.states[1].pending) == 0
+    assert prog.stability.QueryObserver(2).stable is False
