@@ -182,12 +182,6 @@ _check_refids = log_faults
 _check_terminal = quiescent_faults
 
 
-def _enabled(world: World, st) -> tuple:
-    """The keys of ``st``'s pending messages that are deliverable now, in
-    key order."""
-    return tuple(mkey for mkey in sorted(st.pending) if world.deliverable(st.rid, st.pending[mkey]))
-
-
 class _Search:
     """What one exploration shares across its states: the root world, the
     report, the checker, the keys already seen, the interning table, the
@@ -253,7 +247,7 @@ class _Search:
         from three replicas on also its dependencies on other origins."""
         key = ev.chain
         if self.root.n > 2:
-            key = key, tuple(sorted((r, c) for r, c in ev.deps.items() if r != ev.id[0]))
+            key = key, tuple((r, c) for r, c in ev.deps.items() if r != ev.id[0])
         return self._id(key)
 
     def _id(self, value: tuple) -> int:
@@ -371,7 +365,7 @@ class _Search:
         chain = w2.events[outcome[1][0]].chain if outcome[1] else ()
         self.report.violations.extend(_check_state(self.checker, w2, w2.states[replica], chain))
         self.report.violations.extend(_check_refids(w2))
-        return w2, new_sig, tuple(_enabled(w2, st) for st in w2.states)
+        return w2, new_sig, tuple(w2.enabled(r) for r in range(w2.n))
 
     def delivered(self, world: World, sig: tuple, replica: int, mkey) -> tuple:
         """The signature once pending message ``mkey`` is applied at
@@ -419,7 +413,7 @@ class _Search:
             msg = st.pending[mkey]
             w2.apply_message(replica, *mkey)
             self.report.violations.extend(_check_state(self.checker, w2, st, (msg,)))
-            built = level[key] = st, _enabled(w2, st)
+            built = level[key] = st, w2.enabled(replica)
         else:
             w2 = world.sharing(replica, built[0])
         return w2, sig, enabled[:replica] + (built[1],) + enabled[replica + 1:]
@@ -435,7 +429,7 @@ class _Search:
         # choices span replicas and once every generation has run.
         self.step_replica = [choices[0][0] if len({c[0] for c in choices}) == 1 else None
                              for choices in steps] + [None]
-        enabled = tuple(_enabled(self.root, st) for st in self.root.states)
+        enabled = tuple(self.root.enabled(r) for r in range(self.root.n))
         self._descend(self.root, self.root_sig, enabled, 0, frozenset())
         return self.report
 

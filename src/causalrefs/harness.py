@@ -7,7 +7,8 @@ delivery steps (which effector message was applied where). Random traces
 are built the way that shakes out delivery bugs: each new event is
 generated at a replica that has just been brought up to date with two
 randomly chosen earlier events, each delivered only up to a random prefix
-of its effector chain (plus whatever causal delivery forces in first).
+of its effector chain, after whatever the delivery rule makes it wait for
+(``World.waits_for``).
 
 Every execution the harness checks is one ``Run``: its world, the
 ``Checker`` hooked to it, its steps and the label of each event.
@@ -317,20 +318,16 @@ class Run:
 
 def _deliver_prefix(run: Run, replica: int, eid, upto: int) -> None:
     """Deliver event ``eid``'s chain to ``replica`` up to ``upto`` messages,
-    first delivering (fully) everything the event causally depends on."""
+    first delivering fully, one at a time, each event the delivery rule
+    makes it wait for (``World.waits_for``), so the walk follows whatever
+    rule the world applies. An event of ``replica`` itself is always fully
+    applied there."""
     world = run.world
     st = world.states[replica]
-    if eid[0] == replica or st.fully_applied(eid) or upto <= st.progress.get(eid, 0):
+    if st.fully_applied(eid) or upto <= st.progress.get(eid, 0):
         return
-    ev = world.events[eid]
-    for dep_r, dep_c in sorted(ev.deps.items()):
-        if dep_r == replica:
-            continue
-        seq = st.applied_full.get(dep_r, 0) + 1
-        while seq <= dep_c:
-            dep_eid = (dep_r, seq)
-            _deliver_prefix(run, replica, dep_eid, len(world.events[dep_eid].chain))
-            seq = st.applied_full.get(dep_r, 0) + 1
+    while (dep := world.waits_for(replica, eid)) is not None:
+        _deliver_prefix(run, replica, dep, len(world.events[dep].chain))
     for idx in range(st.progress.get(eid, 0), upto):
         run.deliver(replica, eid, idx)
 
@@ -402,14 +399,15 @@ RECLAIM_MIX = _kind_table({
 })
 
 
-def _draw_args(rng: _Draws, st, replica: int, kind: str, next_keys: list):
-    """The arguments of a ``kind`` operation at ``replica``, drawn from its
-    state ``st``, or None when ``st`` holds nothing to draw them from. Each
-    kind builds only the lists it draws from, in ``st.objects`` order; no
-    draw changes ``st``, so every attempt at an event reads the same lists."""
+def _draw_args(rng: _Draws, st, kind: str):
+    """The arguments of a ``kind`` operation drawn from replica state
+    ``st``, or None when ``st`` holds nothing to draw them from. Each kind
+    builds only the lists it draws from, in ``st.objects`` order; no draw
+    changes ``st``, so every attempt at an event reads the same lists. A
+    create is numbered by the creates before it at its replica: every drawn
+    create runs and succeeds, its key being new."""
     if kind == "create":
-        key = f"o{replica}n{next_keys[replica]}"
-        next_keys[replica] += 1
+        key = f"o{st.rid}n{len(st.created_here)}"
         nattrs = rng.randint(1, 2)
         return {"key": key, "root": rng.random() < 0.3, "attrs": ["f", "g"][:nattrs]}
     if kind == "announce":
@@ -489,7 +487,6 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
     config.validate()
     rng = _Draws(seed)
     run = Run(config)
-    next_keys = [0] * config.replicas  # numbers the next create at each replica
     successes: list[Event] = []
     mix = _kind_table(config.weights)
     reclaim_from = int(config.events * 0.45) if rng.random() < 0.3 else None
@@ -527,20 +524,19 @@ def random_execution(seed: int, config: TraceConfig) -> Trace:
             if ripe is not None:
                 fallback = OpCall("delete", {"target": ripe, "last": "auto"})
             elif i == reclaim_from:
-                args = _draw_args(rng, st, replica, "may_delete", next_keys)
+                args = _draw_args(rng, st, "may_delete")
                 if args is not None:
                     fallback = OpCall("may_delete", args)
         else:
             draw_kinds, draw_cum_weights, total, hi = mix
         for _ in range(8):
             kind = draw_kinds[bisect(draw_cum_weights, rng.random() * total, 0, hi)]
-            args = _draw_args(rng, st, replica, kind, next_keys)
+            args = _draw_args(rng, st, kind)
             if args is not None:
                 op = OpCall(kind, args)
                 break
         else:
-            op = fallback if fallback is not None else OpCall(
-                "create", _draw_args(rng, st, replica, "create", next_keys))
+            op = fallback if fallback is not None else OpCall("create", _draw_args(rng, st, "create"))
         _result, ev = run.gen(f"g{i}", replica, op)
         if ev is not None:
             successes.append(ev)

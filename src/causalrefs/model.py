@@ -7,6 +7,13 @@ applied atomically at the origin and delivered to every other replica in
 chain order, after everything the event causally depends on. A deletion
 check registers its stability query as an event with no operation (``emit``).
 
+Causal delivery is one rule, ``World.waits_for``: the event a message must
+wait for at a replica, or None. The buffers (``deliverable``, and through it
+``apply_message``, ``drain`` and ``quiesce``), the enabled deliveries
+(``enabled``), the harness's dependency walk, the explorer and the model
+machine all ask it, so a test that patches it alone runs everything under
+another delivery rule.
+
 Worlds are single-threaded and deterministic: the same sequence of
 ``execute``/``apply_message`` calls always produces the same state.
 """
@@ -99,7 +106,9 @@ class EffectorMessage:
 @dataclass
 class Event:
     id: EventId  # its origin replica is id[0]
-    deps: dict  # vector clock snapshot at generation (causally closed)
+    # The origin's clock at generation, in origin order (causally closed),
+    # from which ``World.waits_for`` decides delivery.
+    deps: dict
     chain: tuple  # ordered EffectorMessages (length 1 in atomic mode)
 
 
@@ -192,12 +201,12 @@ class ReplicaState:
         return rec
 
     def clock(self) -> dict:
-        """The causal clock: per origin, the highest sequence number with
-        any effector applied here."""
+        """The causal clock: per origin, in origin order, the highest
+        sequence number with any effector applied here."""
         clock = dict(self.applied_full)
         for r, seq in self.progress:
             clock[r] = seq
-        return clock
+        return dict(sorted(clock.items()))
 
     def fully_applied(self, eid: EventId) -> bool:
         r, seq = eid
@@ -303,19 +312,35 @@ class World:
 
     # -- delivery -----------------------------------------------------------
 
+    def waits_for(self, replica: ReplicaId, eid: EventId) -> Optional[EventId]:
+        """The first event, in origin order, that must be fully applied at
+        ``replica`` before a message of ``eid`` may apply there, or None.
+        This is causal delivery, and the only place that decides it from
+        ``Event.deps``: a test swaps in a weaker delivery rule by patching
+        this method alone."""
+        applied = self.states[replica].applied_full
+        for r, c in self.events[eid].deps.items():
+            have = applied.get(r, 0)
+            if have < c:
+                return r, have + 1
+        return None
+
     def deliverable(self, replica: ReplicaId, msg: EffectorMessage) -> bool:
-        """True iff ``msg`` can be applied at ``replica`` right now."""
+        """True iff ``msg`` can be applied at ``replica`` right now: its
+        event is not fully applied there, ``msg`` is next in chain order (an
+        applied message sits below the event's progress) and the event waits
+        for nothing (``waits_for``)."""
         st = self.states[replica]
         eid = msg.event_id
-        applied = st.applied_full
-        # Not fully applied, and next in chain order (an applied message
-        # sits below the event's progress).
-        if applied.get(eid[0], 0) >= eid[1] or msg.chain_index != st.progress.get(eid, 0):
+        if st.applied_full.get(eid[0], 0) >= eid[1] or msg.chain_index != st.progress.get(eid, 0):
             return False
-        for r, c in self.events[eid].deps.items():
-            if applied.get(r, 0) < c:
-                return False
-        return True
+        return self.waits_for(replica, eid) is None
+
+    def enabled(self, replica: ReplicaId) -> tuple:
+        """The keys of ``replica``'s pending messages that are deliverable
+        now, in key order."""
+        pending = self.states[replica].pending
+        return tuple(key for key in sorted(pending) if self.deliverable(replica, pending[key]))
 
     def apply_message(self, replica: ReplicaId, eid: EventId, chain_index: int) -> None:
         """Apply exactly one pending message; it must be deliverable.

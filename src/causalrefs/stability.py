@@ -107,7 +107,7 @@ def apply_query_register(world: World, st: ReplicaState, target, p: QueryRegiste
 
 
 def gen_announce(world: World, st: ReplicaState, a: dict):
-    clock = tuple(sorted(st.clock().items()))
+    clock = tuple(st.clock().items())
     # The payload must not depend on the order in which the replica's
     # queries were registered: the explorer keys generation outcomes by the
     # events a replica applied, and those do not fix that order.

@@ -282,7 +282,7 @@ def test_successor_keys_and_shared_states(monkeypatch, mode, replicas):
         assert predicted == explore._state_key(k + 1, *search.signature(full, orders(search, sig)))
         if child is not None:
             assert child[1] == search.signature(child[0], orders(search, sig))
-            assert child[2] == tuple(explore._enabled(full, st) for st in full.states)
+            assert child[2] == tuple(full.enabled(r) for r in range(full.n))
         if known:
             table["hit_seen" if child is None else "hit_fresh"] += 1
         return child
@@ -306,7 +306,7 @@ def test_successor_keys_and_shared_states(monkeypatch, mode, replicas):
             assert _snapshot(world) == before
             parents.append((world, before))
             assert _snapshot(child[0]) == _snapshot(full)
-            assert child[2] == tuple(explore._enabled(full, st) for st in full.states)
+            assert child[2] == tuple(full.enabled(r) for r in range(full.n))
             for r, st in enumerate(child[0].states):
                 assert (st is world.states[r]) == (r != replica)
             assert child[0].events is world.events

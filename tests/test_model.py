@@ -129,6 +129,49 @@ class TestDelivery:
         assert world_fingerprint(w) == world_fingerprint(World(2))
 
 
+class TestWaitsFor:
+    def test_nothing_for_own_event_or_chain_head(self):
+        w = World(3)
+        ev = create(w, 1, "A")
+        assert w.waits_for(1, ev.id) is None
+        assert w.waits_for(2, ev.id) is None
+
+    def test_lower_origin_first(self):
+        # Replica 0 has applied two events of replica 1 and one of replica
+        # 2 when it generates; replica 3 has applied only the first.
+        w = World(4)
+        a1, a2, b = create(w, 1, "A1"), create(w, 1, "A2"), create(w, 2, "B")
+        list(w.drain(0))
+        ev = create(w, 0, "C")
+        assert w.waits_for(0, ev.id) is None
+        w.apply_message(3, a1.id, 0)
+        assert w.waits_for(3, ev.id) == a2.id
+        w.apply_message(3, a2.id, 0)
+        assert w.waits_for(3, ev.id) == b.id
+        w.apply_message(3, b.id, 0)
+        assert w.waits_for(3, ev.id) is None
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_deliverable_agrees_for_next_in_chain(self, mode):
+        # At every application of a replay, each pending message that is
+        # next in its chain is deliverable exactly when its event waits for
+        # nothing.
+        seen = set()
+
+        def on_apply(world, st, msg):
+            for s in world.states:
+                for (eid, idx), pending in s.pending.items():
+                    if idx == s.progress.get(eid, 0):
+                        ready = world.deliverable(s.rid, pending)
+                        assert ready == (world.waits_for(s.rid, eid) is None)
+                        seen.add(ready)
+
+        for i in range(5):
+            trace = random_execution(execution_seed(3, i), TraceConfig(3, 20, mode))
+            replay(trace, checker=ProbedChecker(on_apply))
+        assert seen == {True, False}
+
+
 class TestAtomicMode:
     def test_chain_fused_into_single_message(self):
         w = World(2, mode=ATOMIC)
