@@ -33,6 +33,8 @@ against ``random.Random`` in ``tests/test_harness.py`` hold this.
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import random
 from bisect import bisect
@@ -65,6 +67,35 @@ class NotFailing(Exception):
 
 class ReplayMismatch(Exception):
     """The trace does not replay to its recorded outcomes (corrupt trace)."""
+
+
+def _collector_paused(fn):
+    """``fn`` with CPython's cycle collector paused for the length of each
+    call: ``gc.disable()`` on entry if collection is enabled, and
+    ``gc.enable()`` on the way out, by return or exception, only if this
+    call disabled it. So a nested call, or a caller that disabled
+    collection itself, leaves it as it was.
+
+    A collection walks every live container it is handed, and a long run
+    holds thousands (steps, clocks, records, messages), so collections
+    during a run cost a share of its time that grows with its length; the
+    stdlib's ``timeit`` pauses the collector for the same reason. The pause
+    is safe because the simulator is single-threaded and a run builds no
+    reference cycles: reference counting frees each run when it is
+    dropped. A cycle made during a pause would only wait for the first
+    collection after it, not leak. ``tests/test_harness.py`` pins both."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 DEFAULT_WEIGHTS = {
@@ -476,6 +507,7 @@ def _draw_args(rng: _Draws, st, kind: str):
     return {"source": source, "attr": pick_attr(source)}
 
 
+@_collector_paused
 def random_execution(seed: int, config: TraceConfig) -> Trace:
     """Build one replayable random trace, checking every invariant as it
     goes in a ``Run``, whose ``check_tail`` runs once the last event is
@@ -817,6 +849,7 @@ class Checker:
         self.violations.extend(log_faults(world))
 
 
+@_collector_paused
 def check_invariants(trace: Trace) -> InvariantReport:
     """The invariant report of ``trace``: I1-I4 at every post-application
     state, the stability refinement property, and I5-I7 after forced
@@ -845,6 +878,7 @@ def _without_deliveries(steps: list):
             yield steps[:i] + steps[i + 1:]
 
 
+@_collector_paused
 def shrink(failing: Trace) -> Trace:
     """Greedy minimization: drop whole events, then single deliveries, as
     long as the same invariant still fails, judging each candidate by one

@@ -438,8 +438,7 @@ def _payloads(world):
 
 def _replica_snapshot(world):
     return world_fingerprint(world), [
-        (dict(st.ref_counts), {k: (q.sup, q.stable, dict(q.snapshot)) for k, q in st.queries.items()})
-        for st in world.states]
+        (dict(st.ref_counts), set(st.condemned), _observers(st)) for st in world.states]
 
 
 @pytest.mark.parametrize("partial", [False, True])

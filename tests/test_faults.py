@@ -18,6 +18,8 @@ Each fault is put in with monkeypatch for one test only:
   event waiting only for its origin's earlier events. It patches the one
   delivery rule, ``World.waits_for``, which the buffers, the campaign's
   dependency walk, the explorer and the model machine all ask.
+- phase 1 only: the stability detector without its confirmation phase,
+  a query becoming stable once every replica's true report is in.
 
 The two chain faults only reorder the payloads of one chain. In atomic mode
 a chain is one message, applied whole before any check runs, so they change
@@ -30,19 +32,26 @@ events of ``reclaim_setup``. It is not in ``ALL_FAULTS``: at 2 replicas and
 the 40 that ``test_shrunk_traces_pinned`` scans. Nor is FIFO delivery: at 2
 replicas it is causal delivery, and at 3 replicas and 20 events some
 appliers meet what causal delivery rules out and raise, in 133 of 300
-traces, instead of reporting a finding (ROADMAP item 8).
+traces, instead of reporting a finding (ROADMAP item 8). Nor is phase 1
+only: the campaign first catches it, as refinement, at execution 383 of
+seed 11 at 2 replicas and 60 events, atomic, and in none of 3,000 at 3
+replicas and 20 events.
 """
 
 import hashlib
+import pathlib
 
 import pytest
+from click.testing import CliRunner
 
 from causalrefs import explore, ops, refs, stability, tracefile
+from causalrefs.cli import main
 from causalrefs.explore import basic_catalog, basic_setup, explore_catalog, reclaim_setup
 from causalrefs.harness import (
     DeliverStep,
     GenStep,
     InvariantReport,
+    ReplayMismatch,
     Run,
     Trace,
     TraceConfig,
@@ -130,7 +139,26 @@ def fifo_delivery(monkeypatch):
     monkeypatch.setattr(World, "waits_for", mutant)
 
 
-# Every fault above but the unhonoured pledge and FIFO delivery, by name.
+def phase1_only(monkeypatch):
+    # ``stability.QueryObserver.report`` without its confirmation phase: no
+    # supremum is taken and no later report confirms it.
+    def mutant(q, replica, holds, clock):
+        if q.stable:
+            return
+        if not holds:
+            q.snapshot.clear()
+            q.confirm.clear()
+            q.sup = None
+            return
+        q.snapshot[replica] = clock
+        if len(q.snapshot) == q.n:
+            q.stable = True
+
+    monkeypatch.setattr(stability.QueryObserver, "report", mutant)
+
+
+# Every fault above but the unhonoured pledge, FIFO delivery and phase 1
+# only, by name.
 ALL_FAULTS = {
     "forward_creation": forward_creation,
     "backward_retirement": backward_retirement,
@@ -532,3 +560,47 @@ def test_explorer_catches_fifo_delivery_at_three_replicas(monkeypatch):
     assert scope().ok
     fifo_delivery(monkeypatch)
     assert "I4" in scope().failed_invariants()
+
+
+# Executions of campaign seed 11 at 2 replicas and 60 events, atomic, within
+# which the campaign must catch phase 1 only (first at execution 383).
+PHASE1_BUDGET = 500
+PHASE1_CONFIG = TraceConfig(2, 60, ATOMIC)
+PHASE1_WITNESS = pathlib.Path(__file__).parent / "witnesses" / "phase1_only.trace"
+
+
+def first_failing(seed: int, config: TraceConfig, budget: int):
+    """The first trace of campaign ``seed`` at ``config``, within ``budget``
+    executions, that violates an invariant, or None."""
+    for i in range(budget):
+        trace = random_execution(execution_seed(seed, i), config)
+        if not trace.report.ok:
+            return trace
+    return None
+
+
+def test_campaign_catches_phase1_only_within_budget(monkeypatch):
+    assert first_failing(11, PHASE1_CONFIG, PHASE1_BUDGET) is None
+    phase1_only(monkeypatch)
+    trace = first_failing(11, PHASE1_CONFIG, PHASE1_BUDGET)
+    assert trace is not None
+    assert trace.report.failed_invariants() == {"refinement"}
+
+
+def test_phase1_only_witness(monkeypatch):
+    # ``phase1_only.trace`` is the campaign's first catch above, cut by
+    # ``shrink`` from 98 steps to 11. Replica 1 reports o0n0 unreferenced.
+    # Replica 0 then points o0n2.f at o0n0, nulls it again and reports
+    # too, none of which has reached replica 1. Without confirmation the
+    # two reports make o0n0 stable at replica 0, which deletes it while the
+    # inref-add to o0n0 is still on its way to replica 1: the oracle
+    # disagrees. The clean detector still waits for a confirmation, so the
+    # recorded delete does not replay, and a lenient replay finds nothing.
+    trace = tracefile.loads(PHASE1_WITNESS.read_text())
+    with pytest.raises(ReplayMismatch, match=r"step 10 \(g52\): recorded 'ok', got 'err:NotUnreachable'"):
+        replay(trace)
+    assert replay(trace, strict=False).check_tail().ok
+    phase1_only(monkeypatch)
+    res = CliRunner().invoke(main, ["check", str(PHASE1_WITNESS)])
+    assert res.exit_code == 1, res.output
+    assert "violation[refinement] " in res.output

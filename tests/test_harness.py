@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import random
 from bisect import bisect
+from collections import Counter
 
 import pytest
 
@@ -32,6 +34,7 @@ from causalrefs.harness import ReplayMismatch
 from causalrefs.model import ATOMIC, PURE_CAUSAL, OpCall, SimulatorError, World
 from causalrefs.refs import MarkDeleted
 from causalrefs.stability import ClockAnnounce, QueryRegister
+from test_faults import forward_creation
 
 
 class TestConfig:
@@ -422,6 +425,117 @@ class TestShrink:
         small_rep = check_invariants(small)
         assert rep.failed_invariants() & small_rep.failed_invariants()
         assert len(small.steps) <= len(tr.steps)
+
+
+class TestCollectorPause:
+    """``random_execution``, ``check_invariants`` and ``shrink`` run with
+    the cycle collector paused (``harness._collector_paused``). That is
+    safe only because a run builds no reference cycles, and it must leave
+    the collector as the caller had it."""
+
+    @staticmethod
+    def probe(monkeypatch) -> list:
+        """Record whether collection is enabled at each operation a run
+        executes (``harness.run_op``)."""
+        seen = []
+        run_op = harness.run_op
+
+        def probed(*args):
+            seen.append(gc.isenabled())
+            return run_op(*args)
+
+        monkeypatch.setattr(harness, "run_op", probed)
+        return seen
+
+    @pytest.fixture
+    def collector(self):
+        """Collection enabled for the test, and as it was after it."""
+        enabled = gc.isenabled()
+        gc.enable()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_runs_build_no_reference_cycles(self, monkeypatch, collector):
+        # With the collector off, generating, replaying and shrinking must
+        # leave nothing for a collection to find: reference counting alone
+        # frees every run.
+        gc.collect()
+        gc.disable()
+        flags = gc.get_debug()
+        try:
+            for config in (TraceConfig(3, 20, PURE_CAUSAL), TraceConfig(3, 20, ATOMIC),
+                           TraceConfig(2, 60, PURE_CAUSAL), TraceConfig(5, 320, PURE_CAUSAL)):
+                for i in range(3 if config.events > 100 else 20):
+                    trace = random_execution(execution_seed(0, i), config)
+                    trace.report = None
+                    assert check_invariants(trace).ok
+            # Shrinks the first 10 failing traces.
+            with monkeypatch.context() as m:
+                forward_creation(m)
+                assert len(run_campaign(99, 20, TraceConfig())["failures"]) == 10
+            # Keep what a collection finds, to name its types.
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            found = gc.collect()
+            leaked = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert found == 0, leaked.most_common(10)
+
+    def test_paused_within_and_restored_on_return(self, monkeypatch, collector):
+        seen = self.probe(monkeypatch)
+        trace = random_execution(execution_seed(6, 0), TraceConfig())
+        assert gc.isenabled()
+        check_invariants(Trace(trace.seed, trace.config, trace.steps))
+        assert gc.isenabled()
+        assert seen and not any(seen)
+
+    def test_restored_on_exception(self, monkeypatch, collector):
+        seen = self.probe(monkeypatch)
+        with pytest.raises(ConfigInvalid):
+            random_execution(0, TraceConfig(replicas=0))
+        assert gc.isenabled()
+        tampered = random_execution(11, TraceConfig())
+        tampered.report = None
+        next(s for s in tampered.steps if isinstance(s, GenStep)).result = "err:Bogus"
+        with pytest.raises(ReplayMismatch):
+            check_invariants(tampered)
+        assert gc.isenabled()
+        assert seen and not any(seen)
+
+    def test_nested_pause_leaves_outer_pause(self, monkeypatch, collector):
+        # Before each replay ``shrink`` makes, a paused call runs inside the
+        # paused shrink: it must leave collection off for the rest of the
+        # shrink, which turns it back on at the end.
+        forward_creation(monkeypatch)
+        failing = next(t for t in (random_execution(execution_seed(99, i), TraceConfig())
+                                   for i in range(20)) if not t.report.ok)
+        after_inner = []
+        replay = harness.replay
+
+        def nesting(*args, **kwargs):
+            random_execution(21, TraceConfig(weights={"create": 1}))
+            after_inner.append(gc.isenabled())
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "replay", nesting)
+        seen = self.probe(monkeypatch)
+        shrink(failing)
+        assert gc.isenabled()
+        assert after_inner and not any(after_inner)
+        assert seen and not any(seen)
+
+    def test_caller_disabled_collection_stays_disabled(self, monkeypatch, collector):
+        seen = self.probe(monkeypatch)
+        gc.disable()
+        trace = random_execution(execution_seed(6, 0), TraceConfig())
+        assert not gc.isenabled()
+        check_invariants(Trace(trace.seed, trace.config, trace.steps))
+        assert not gc.isenabled()
+        with pytest.raises(ConfigInvalid):
+            random_execution(0, TraceConfig(replicas=0))
+        assert not gc.isenabled()
+        assert seen and not any(seen)
 
 
 class TestTraceReport:
